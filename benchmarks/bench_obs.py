@@ -58,11 +58,24 @@ from repro.obs.telemetry import (
     TelemetryWriter,
     slab_words,
 )
-from repro.serve import ServingEngine
+from repro.serve import ServeRequest, ServingEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_obs.json"
 OVERHEAD_TARGET = 0.05
+
+
+def _predict(engine: ServingEngine, words: np.ndarray) -> np.ndarray:
+    """Ordered bulk predict over ``submit(ServeRequest)``."""
+    step = engine.max_queries_per_request
+    futures = [
+        engine.submit(ServeRequest(words[start:start + step]), flush=False)
+        for start in range(0, words.shape[0], step)
+    ]
+    engine.flush()
+    return np.concatenate([
+        future.result(timeout=60.0).predictions for future in futures
+    ])
 
 
 def _time(fn, repeats: int) -> float:
@@ -193,12 +206,12 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
         engine = ServingEngine(classifier, num_workers=2,
                                telemetry=telemetry)
         try:
-            engine.predict(queries)  # warm-up: fork + first adoption
+            _predict(engine, queries)  # warm-up: fork + first adoption
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
                 for _ in range(rounds):
-                    preds = engine.predict(queries)
+                    preds = _predict(engine, queries)
                 best = min(best, time.perf_counter() - start)
             merged = engine.telemetry.scrape() if telemetry else None
         finally:

@@ -8,9 +8,8 @@ word axis.  This module puts that primitive behind a
 substrates without the callers changing:
 
 * :class:`NumpyPackedBackend` — the production CPU path, extracted from
-  ``repro.core.packed``: row-blocked XOR + ``np.bitwise_count`` (or the
-  16-bit LUT decomposition on NumPy 1.x / under
-  ``REPRO_FORCE_POP16_LUT=1``) with reused scratch buffers.
+  ``repro.core.packed``: row-blocked XOR + ``np.bitwise_count`` with
+  reused scratch buffers.
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
   on raw bits.  Slow, obviously correct, and the equivalence anchor the
   property tests pin every other backend against.
@@ -32,8 +31,7 @@ Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is resolved in this order:
 an explicit :func:`set_kernel_backend` call, the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``"native"`` when
-the fused kernel compiled on this host (and ``REPRO_FORCE_POP16_LUT``
-is unset), falling back to ``"numpy"``.
+the fused kernel compiled on this host, falling back to ``"numpy"``.
 Every distance computed through :meth:`PackedModel.distances
 <repro.core.packed.PackedModel.distances>` and
 :meth:`PackedHypervectors.hamming_to
@@ -135,15 +133,8 @@ class KernelBackend:
 
 
 class NumpyPackedBackend(KernelBackend):
-    """Row-blocked XOR+popcount on the CPU — the production default.
-
-    Population counts use ``np.bitwise_count`` when NumPy exposes it
-    and the 16-bit lookup-table decomposition otherwise; the switch is
-    read from :mod:`repro.core.packed` *at call time* so the LUT path
-    can be forced for testing (monkeypatching
-    ``repro.core.packed._HAS_BITWISE_COUNT`` or exporting
-    ``REPRO_FORCE_POP16_LUT=1`` before import).
-    """
+    """Row-blocked XOR + ``np.bitwise_count`` on the CPU — the portable
+    default wherever the native kernel did not compile."""
 
     name = "numpy"
 
@@ -154,8 +145,6 @@ class NumpyPackedBackend(KernelBackend):
     def distance_table(
         self, queries: np.ndarray, model: np.ndarray
     ) -> np.ndarray:
-        from repro.core import packed as _packed
-
         queries = np.ascontiguousarray(queries)
         model = np.ascontiguousarray(model)
         _check_operands(queries, model)
@@ -167,13 +156,6 @@ class NumpyPackedBackend(KernelBackend):
         # serving batches cheap.  The block height caps the
         # (rows, k, words) scratch at ``_SCRATCH_WORDS`` uint64.
         rows = max(1, min(b, _ROW_BLOCK, _SCRATCH_WORDS // max(1, k * words)))
-        if not _packed._HAS_BITWISE_COUNT:
-            for lo in range(0, b, rows):
-                block = queries[lo : lo + rows]
-                out[lo : lo + block.shape[0]] = _packed.packed_popcount(
-                    np.bitwise_xor(block[:, None, :], model[None, :, :])
-                )
-            return out
         xor_buf = np.empty((rows, k, words), dtype=np.uint64)
         count_buf = np.empty((rows, k, words), dtype=np.uint8)
         # Narrowest exact accumulator (row popcount sums reach 64·W):
@@ -518,12 +500,8 @@ def _default_backend_name() -> str:
     """Default resolution when nothing is selected explicitly.
 
     The fused native CPU kernel when it compiled on this host, else the
-    NumPy path.  ``REPRO_FORCE_POP16_LUT`` pins the default to NumPy —
-    the whole point of that flag is to exercise the LUT popcount, which
-    the native kernel would bypass.
+    NumPy path.
     """
-    if os.environ.get("REPRO_FORCE_POP16_LUT"):
-        return "numpy"
     if NativeCpuBackend.available():
         return "native"
     return "numpy"

@@ -24,8 +24,8 @@ distances because both operands carry identical zero pads.  Packing is
 on a big-endian host the words are byte-swapped so the convention above
 holds everywhere.
 
-Population counts use ``np.bitwise_count`` (NumPy >= 2) when available
-and fall back to a 16-bit lookup table otherwise.
+Population counts use ``np.bitwise_count`` (NumPy >= 2, the declared
+floor).
 
 The backend can be disabled globally — e.g. to A/B the float reference
 against the packed engine in tests or benchmarks — via
@@ -34,7 +34,6 @@ against the packed engine in tests or benchmarks — via
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -62,18 +61,6 @@ __all__ = [
 
 _WORD = 64
 _BIG_ENDIAN = sys.byteorder == "big"
-# REPRO_FORCE_POP16_LUT=1 forces the 16-bit LUT fallback even on
-# NumPy >= 2 — CI uses it to keep the NumPy 1.x popcount path
-# equivalence-tested instead of dead code.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count") and not os.environ.get(
-    "REPRO_FORCE_POP16_LUT"
-)
-# 16-bit popcount lookup table: popcount(w) decomposes into four table
-# lookups per 64-bit word, the fastest portable formulation on NumPy 1.x
-# (NumPy >= 2 exposes the hardware popcount as ``np.bitwise_count``).
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
 
 # Global backend switch.  True routes every 1-bit hot path (model
 # similarities, chunk detection) through the packed engine; False forces
@@ -158,10 +145,7 @@ def packed_popcount(words: np.ndarray) -> np.ndarray:
     w = np.ascontiguousarray(words)
     if w.dtype != np.uint64:
         raise ValueError(f"expected uint64 words, got {w.dtype}")
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(w).sum(axis=-1, dtype=np.int64)
-    chunks = w.view(np.uint16).reshape(*w.shape, 4)
-    return _POP16[chunks].sum(axis=(-1, -2), dtype=np.int64)
+    return np.bitwise_count(w).sum(axis=-1, dtype=np.int64)
 
 
 def packed_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,10 +21,8 @@ This module converges them:
   actual damage (in place / on a copy).
 * :func:`attack` / :func:`inject` — convenience entry points keyed by
   mode name, mirroring the old call shapes but returning the mask.
-
-The old entry points survive as thin shims that emit
-``DeprecationWarning`` and delegate here; seeded results are identical
-because the injectors draw from the RNG in exactly the old order.
+  Seeded results match the old entry points (since removed) because the
+  injectors draw from the RNG in exactly the old order.
 """
 
 from __future__ import annotations
@@ -371,10 +369,10 @@ def attack(
 ) -> tuple[HDCModel, FaultMask]:
     """Corrupted copy of ``model`` plus the ground-truth mask.
 
-    The drop-in successor of ``attack_hdc_model`` — same (model, rate,
-    mode, rng) shape, same seeded flips — except it also returns *which*
-    bits were hit, which downstream observability
-    (:func:`repro.obs.scorecard.fault_scorecard`) joins against.
+    The (model, rate, mode, rng) call shape with the sampling
+    primitives' seeded flips, plus *which* bits were hit, which
+    downstream observability (:func:`repro.obs.scorecard.fault_scorecard`)
+    joins against.
     """
     mask = inject(model, rate, mode, rng, **kwargs)
     return mask.applied_to(model), mask

@@ -19,7 +19,6 @@ modified (the experiments need both to measure quality loss).
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "sample_clustered_bits",
     "attack_tensor",
     "attack_tensors",
-    "attack_hdc_model",
     "hdc_msb_first_bit_order",
     "flip_hdc_bits",
 ]
@@ -250,30 +248,3 @@ def flip_hdc_bits(model: HDCModel, bit_indices: np.ndarray) -> None:
         positions = (idx % model.bits).astype(np.uint8)
         np.bitwise_xor.at(flat, elements, (1 << positions).astype(np.uint8))
 
-
-def attack_hdc_model(
-    model: HDCModel,
-    rate: float,
-    mode: str,
-    rng: np.random.Generator,
-    cluster_bits: int = DEFAULT_CLUSTER_BITS,
-) -> HDCModel:
-    """Deprecated: use :func:`repro.faults.api.attack` instead.
-
-    Returns a corrupted copy of a stored HDC model, exactly as the
-    unified API's ``attack(model, rate, mode, rng)[0]`` — same seeded
-    flips — but discards the :class:`~repro.faults.api.FaultMask` the
-    observability layer needs.  ``cluster_bits`` sets the victim-span
-    size for the clustered mode (ignored by the other modes).
-    """
-    warnings.warn(
-        "attack_hdc_model is deprecated; use repro.faults.attack(), which "
-        "also returns the ground-truth FaultMask",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.faults.api import attack
-
-    _check_mode(mode)
-    kwargs = {"cluster_bits": cluster_bits} if mode == "clustered" else {}
-    return attack(model, rate, mode, rng, **kwargs)[0]

@@ -28,13 +28,11 @@ wins back.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.model import HDCModel
 
-__all__ = ["dimension_importance", "attack_hdc_informed"]
+__all__ = ["dimension_importance"]
 
 
 def dimension_importance(
@@ -75,32 +73,3 @@ def dimension_importance(
         importance[c] = np.maximum(consensus, 0.0) * discrimination
     return importance
 
-
-def attack_hdc_informed(
-    model: HDCModel,
-    rate: float,
-    reference_queries: np.ndarray,
-    rng: np.random.Generator,
-) -> HDCModel:
-    """Deprecated: use :func:`repro.faults.api.attack` with
-    ``mode="informed"`` (or an
-    :class:`~repro.faults.api.InformedBitflipInjector`) instead.
-
-    Flips the ``rate`` most load-bearing model bits (white-box attack).
-    The total budget matches the random attack (``rate * total_bits``
-    flips), split equally across classes; within each class the
-    highest-importance dimensions are flipped, ties broken randomly.
-    Seeded results are identical to the unified API's.
-    """
-    warnings.warn(
-        "attack_hdc_informed is deprecated; use repro.faults.attack(model, "
-        "rate, 'informed', rng, reference_queries=...), which also returns "
-        "the ground-truth FaultMask",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.faults.api import attack
-
-    return attack(
-        model, rate, "informed", rng, reference_queries=reference_queries
-    )[0]

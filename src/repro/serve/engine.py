@@ -3,20 +3,21 @@
 :class:`ServingEngine` owns the shared-memory substrate (per-tenant
 control blocks, request payload ring, exported bound codebooks,
 packed-model generations) and a pool of worker processes running
-:func:`repro.serve.worker.worker_main`.  The canonical client surface is
-one call:
+:func:`repro.serve.worker.worker_main`.  The client surface is one
+entry with two spellings over a single body:
 
-* :meth:`ServingEngine.submit` — takes a :class:`ServeRequest` (encoded
-  words or raw features, deadline, tenant, client trace id) and returns
-  a :class:`ServeFuture`.  The ring is the bounded buffer: when every
-  slot is in flight, submit blocks (bounded by ``backpressure_timeout``)
-  and then raises :class:`Backpressure` — load is shed at the front
-  door, not by unbounded queueing.
+* :meth:`ServingEngine.submit_many` — takes :class:`ServeRequest`\\ s
+  (encoded words or raw features, deadline, tenant, client trace id)
+  and returns one :class:`ServeFuture` each.  Every payload passes one
+  validation (``ServingEngine._check_payload``), whichever ingress or
+  direct caller sent it; ring slots and ids are allocated under one
+  lock trip.
+* :meth:`ServingEngine.submit` — the same for a batch of one.
 
-The pre-gateway entry points — ``submit(query_words)``,
-``submit_features``, ``predict``, ``predict_features`` — survive as
-thin shims that emit :class:`DeprecationWarning` and delegate to the
-:class:`ServeRequest` path, bit-identical by construction.
+The ring is the bounded buffer: when every slot is in flight, a submit
+blocks (bounded by ``backpressure_timeout``) and then raises
+:class:`Backpressure` — load is shed at the front door, not by
+unbounded queueing.
 
 Requests are *frame-batched*: submits accumulate into one queue message
 (default 8 requests) so the per-message IPC cost — the dominant per-item
@@ -60,10 +61,10 @@ correlation against recovery publishes
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import threading
 import time
-import warnings
 import weakref
 from dataclasses import KW_ONLY, dataclass, field
 from multiprocessing import connection
@@ -249,8 +250,9 @@ class ServeRequest:
 
     ``payload`` is either packed query words ``(n, words)`` uint64
     (``features=False``) or raw feature rows ``(n, num_features)``
-    float (``features=True``, needs the tenant to have an encoder).
-    ``deadline`` is seconds from submit; ``tenant`` defaults to the
+    float (``features=True``, needs the tenant to have an encoder; every
+    value finite).  ``deadline`` is seconds from submit (finite and
+    > 0, or None for none); ``tenant`` defaults to the
     engine's first tenant; ``trace_id`` is an optional *client*
     correlation id echoed on the returned future (the engine always
     assigns its own monotonic internal trace id for telemetry
@@ -665,75 +667,38 @@ class ServingEngine:
     # ------------------------------------------------------------------
 
     def submit(
-        self,
-        request: "ServeRequest | np.ndarray",
-        *,
-        deadline: float | None = None,
-        flush: bool = True,
-    ):
+        self, request: ServeRequest, *, flush: bool = True
+    ) -> ServeFuture:
         """Enqueue one :class:`ServeRequest`; returns a :class:`ServeFuture`.
 
-        ``flush=False`` leaves the request in the current frame so
-        callers issuing many submits amortise the queue hand-off (the
-        frame auto-flushes every ``frame_requests`` submits; call
-        :meth:`flush` after the last one).
-
-        Passing a raw ``(n, words)`` array instead of a
-        :class:`ServeRequest` is deprecated and returns the request id
-        (the pre-:class:`ServeRequest` contract).
+        A batch of one over :meth:`submit_many`'s body.  ``flush=False``
+        leaves the request in the current frame so callers issuing many
+        submits amortise the queue hand-off (the frame auto-flushes
+        every ``frame_requests`` requests; call :meth:`flush` after the
+        last one).
         """
-        if isinstance(request, ServeRequest):
-            if deadline is not None:
-                raise TypeError(
-                    "deadline belongs on the ServeRequest, not submit()"
-                )
-            return self._submit_request(request, flush=flush)
-        warnings.warn(
-            "submit(query_words) is deprecated; use "
-            "submit(ServeRequest(payload)) which returns a ServeFuture",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        future = self._submit_request(
-            ServeRequest(request, deadline=deadline), flush=flush
-        )
-        return future.request_id
+        return self._submit_many((request,), flush)[0]
 
-    def submit_features(
-        self,
-        features: np.ndarray,
-        *,
-        deadline: float | None = None,
-        flush: bool = True,
-    ) -> int:
-        """Deprecated shim: raw-feature submit for the first tenant."""
-        warnings.warn(
-            "submit_features() is deprecated; use "
-            "submit(ServeRequest(features_array, features=True))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        future = self._submit_request(
-            ServeRequest(features, features=True, deadline=deadline),
-            flush=flush,
-        )
-        return future.request_id
-
-    def submit_many(self, requests) -> list[ServeFuture]:
+    def submit_many(
+        self, requests, *, flush: bool = True
+    ) -> list[ServeFuture]:
         """Bulk submit: many :class:`ServeRequest`\\ s, one dispatch frame.
 
-        The batched fast path the gateway's ``SUBMIT_BATCH`` frames ride:
-        payloads are validated per request, but ring slots, request ids
-        and trace ids are allocated under **one** lock acquisition and
-        the whole batch leaves as a single queue frame — the per-submit
-        lock/dispatch cost is paid once per batch instead of once per
-        request.  Returns one :class:`ServeFuture` per request, in
-        order.
+        The batched fast path the gateway rides: payloads are validated
+        per request, but ring slots, request ids and trace ids are
+        allocated under **one** lock acquisition and the whole batch
+        joins the current frame together — the per-submit lock/dispatch
+        cost is paid once per batch instead of once per request.
+        ``flush`` works as for :meth:`submit`.  Returns one
+        :class:`ServeFuture` per request, in order.
 
         The batch must fit the ring (``len(requests) <= ring_slots``);
         callers that meter admission against ring capacity (the gateway)
         satisfy this by construction.
         """
+        return self._submit_many(requests, flush)
+
+    def _submit_many(self, requests, flush: bool) -> list[ServeFuture]:
         if not requests:
             return []
         if len(requests) > self.config.ring_slots:
@@ -750,7 +715,7 @@ class ServingEngine:
             payload_words, kind = self._check_payload(request, tenant_idx)
             deadline_ns = (
                 now_ns + int(request.deadline * 1e9)
-                if request.deadline else 0
+                if request.deadline is not None else 0
             )
             prepared.append(
                 (payload_words, kind, deadline_ns, tenant_idx,
@@ -778,18 +743,20 @@ class ServingEngine:
         futures: list[ServeFuture] = []
         n_queries_total = 0
         with self._lock:
-            frame = self._take_outbox()  # anything frame-batched earlier
             for (payload_words, kind, deadline_ns, tenant_idx,
                  client_trace_id) in prepared:
                 slot = self._free_slots.pop()
                 request_id = self._next_request_id
                 self._next_request_id += 1
+                # Monotonic trace id, stamped on the request frame and
+                # carried through worker batches into ServeBatchEvent —
+                # the join key for recovery-vs-traffic correlation.
                 trace_id = self._next_trace_id
                 self._next_trace_id += 1
                 flat = payload_words.reshape(-1)
                 self._ring.array[slot, : flat.shape[0]] = flat
                 self._pending[request_id] = _Pending(slot)
-                frame.append(
+                self._outbox.append(
                     (request_id, slot, payload_words.shape[0], deadline_ns,
                      kind, trace_id, tenant_idx)
                 )
@@ -799,7 +766,10 @@ class ServingEngine:
                     tenant=self.config.tenants[tenant_idx].tenant_id,
                     client_trace_id=client_trace_id,
                 ))
-        self._dispatch(frame)
+            should_flush = flush or len(self._outbox) >= self._frame_requests
+            frame = self._take_outbox() if should_flush else None
+        if frame:
+            self._dispatch(frame)
         metrics = _metrics()
         if metrics.enabled:
             metrics.inc("serve.requests", len(prepared))
@@ -809,12 +779,25 @@ class ServingEngine:
     def _check_payload(
         self, request: ServeRequest, tenant_idx: int
     ) -> tuple[np.ndarray, int]:
-        """Validate one request's payload against its tenant's geometry.
+        """Validate one request against its tenant's geometry.
+
+        The one check every ingress and direct caller passes through, so
+        it also refuses what would crash a worker: non-finite feature
+        values (the worker's quantiser cannot place them) and deadlines
+        that are not a finite number of seconds above zero.
 
         Returns ``(payload_words, kind)`` where ``payload_words`` is the
         uint64 view the ring stores — a zero-copy view whenever the
         payload is already contiguous with the right dtype.
         """
+        deadline = request.deadline
+        if deadline is not None and not (
+            math.isfinite(deadline) and deadline > 0
+        ):
+            raise ValueError(
+                f"deadline must be a finite number of seconds > 0, "
+                f"got {deadline!r}"
+            )
         slot_cfg = self.config.tenants[tenant_idx]
         if request.features:
             if slot_cfg.codebook_name is None:
@@ -829,6 +812,8 @@ class ServingEngine:
                     f"expected (n, {slot_cfg.num_features}) features, "
                     f"got {payload.shape}"
                 )
+            if not np.isfinite(payload).all():
+                raise ValueError("feature rows must be finite (no NaN/inf)")
             payload_words = payload.view(np.uint64)
             kind = PAYLOAD_FEATURES
         else:
@@ -849,73 +834,6 @@ class ServingEngine:
                 f"queries, got {n_queries}"
             )
         return payload_words, kind
-
-    def _submit_request(
-        self, request: ServeRequest, *, flush: bool = True
-    ) -> ServeFuture:
-        tenant_idx = self._require_tenant(request.tenant)
-        payload_words, kind = self._check_payload(request, tenant_idx)
-        request_id = self._submit(
-            payload_words, kind, request.deadline, flush, tenant_idx
-        )
-        return ServeFuture(
-            self, request_id,
-            tenant=self.config.tenants[tenant_idx].tenant_id,
-            client_trace_id=request.trace_id,
-        )
-
-    def _submit(
-        self,
-        payload_words: np.ndarray,
-        kind: int,
-        deadline: float | None,
-        flush: bool,
-        tenant_idx: int,
-    ) -> int:
-        if self._stopped:
-            raise RuntimeError("engine is stopped")
-        n_queries = payload_words.shape[0]
-        if n_queries < 1 or n_queries > self.max_queries_per_request:
-            raise ValueError(
-                f"request must carry 1..{self.max_queries_per_request} "
-                f"queries, got {n_queries}"
-            )
-        if not self._slot_sem.acquire(timeout=self.backpressure_timeout):
-            metrics = _metrics()
-            if metrics.enabled:
-                metrics.inc("serve.backpressure_rejections")
-            raise Backpressure(
-                f"no free request slot within {self.backpressure_timeout}s "
-                f"({self.config.ring_slots} in flight)"
-            )
-        flat = payload_words.reshape(-1)
-        deadline_ns = (
-            time.monotonic_ns() + int(deadline * 1e9) if deadline else 0
-        )
-        with self._lock:
-            slot = self._free_slots.pop()
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            # Monotonic trace id, stamped on the request frame and
-            # carried through worker batches into ServeBatchEvent — the
-            # join key for recovery-vs-traffic correlation.
-            trace_id = self._next_trace_id
-            self._next_trace_id += 1
-            self._ring.array[slot, : flat.shape[0]] = flat
-            self._pending[request_id] = _Pending(slot)
-            self._outbox.append(
-                (request_id, slot, n_queries, deadline_ns, kind, trace_id,
-                 tenant_idx)
-            )
-            should_flush = flush or len(self._outbox) >= self._frame_requests
-            frame = self._take_outbox() if should_flush else None
-        if frame:
-            self._dispatch(frame)
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("serve.requests")
-            metrics.inc("serve.queries", n_queries)
-        return request_id
 
     def _take_outbox(self) -> list[tuple]:
         frame, self._outbox = self._outbox, []
@@ -1092,76 +1010,6 @@ class ServingEngine:
             self._pending.pop(request_id, None)
         assert pending.result is not None
         return pending.result
-
-    def predict(
-        self, query_words: np.ndarray, *, timeout: float | None = 60.0
-    ) -> np.ndarray:
-        """Deprecated shim: bulk packed predict for the first tenant.
-
-        Shards into ``max_queries_per_request``-row requests, frame-
-        batches the submits, and reassembles predictions in input order.
-        Use :meth:`submit` with :class:`ServeRequest` per micro-batch
-        instead.
-        """
-        warnings.warn(
-            "predict() is deprecated; submit ServeRequests and gather "
-            "their ServeFutures",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._bulk(
-            np.ascontiguousarray(query_words, np.uint64), False, timeout
-        )
-
-    def predict_features(
-        self, features: np.ndarray, *, timeout: float | None = 60.0
-    ) -> np.ndarray:
-        """Deprecated shim: bulk raw-feature predict for the first tenant."""
-        warnings.warn(
-            "predict_features() is deprecated; submit "
-            "ServeRequest(..., features=True) and gather the futures",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._bulk(
-            np.ascontiguousarray(features, np.float64), True, timeout
-        )
-
-    def _bulk(self, matrix: np.ndarray, features: bool, timeout) -> np.ndarray:
-        step = self.max_queries_per_request
-        futures: list[ServeFuture] = []
-        parts = []
-        start = 0
-        while start < matrix.shape[0]:
-            chunk = matrix[start : start + step]
-            futures.append(self._submit_request(
-                ServeRequest(chunk, features=features), flush=False
-            ))
-            start += step
-            # Collect eagerly once enough requests are in flight to keep
-            # the ring from self-deadlocking on large inputs.
-            if len(futures) >= self.config.ring_slots // 2:
-                self.flush()
-                parts.extend(self._gather(futures, timeout))
-                futures = []
-        self.flush()
-        parts.extend(self._gather(futures, timeout))
-        return (
-            np.concatenate(parts)
-            if parts
-            else np.empty((0,), dtype=np.int64)
-        )
-
-    def _gather(self, futures, timeout) -> list[np.ndarray]:
-        parts = []
-        for future in futures:
-            result = future.result(timeout=timeout)
-            if result.predictions is None:
-                raise TimeoutError(
-                    f"request {future.request_id} expired before being served"
-                )
-            parts.append(result.predictions)
-        return parts
 
     # ------------------------------------------------------------------
     # Collector

@@ -16,19 +16,24 @@ async inside.  With ``http_port`` set it additionally serves a minimal
 HTTP/1.1 JSON ingress (``POST /v1/predict``, :mod:`repro.serve.http`)
 through the *same* admission controller and engine path.
 
-**The batched fast path.**  ``SUBMIT_BATCH`` frames carry N requests of
-one tenant behind a single header; the gateway decodes them as numpy
-views (:func:`~repro.serve.protocol.decode_submit_batch`), admits the
-whole batch under one admission-lock acquisition
-(:meth:`AdmissionController.admit_many`), hands the engine zero-copy
-row slices of the wire buffer in one
-:meth:`~repro.serve.engine.ServingEngine.submit_many` call, and answers
-with a single ``RESPONSE_BATCH`` frame built off-loop by whichever
-collector thread resolves the batch's last request.  Cooperative
-clients sending *single* frames get a lighter version of the same
-economy: every frame decoded from one read chunk is submitted with
-``flush=False`` and the engine's frame buffer flushed once per chunk,
-so adjacent singles coalesce into shared engine dispatch frames.
+**One ingress core.**  TCP ``PACKED``/``FEATURES`` single frames,
+``SUBMIT_BATCH`` frames and HTTP ``POST /v1/predict`` bodies all run
+through :func:`serve_batch`; a single frame or an HTTP body is just a
+batch of one.  Each ingress decodes (``SUBMIT_BATCH`` bodies as numpy
+views over the wire buffer, :func:`~repro.serve.protocol.decode_submit_batch`),
+then the core admits every entry under one admission-lock acquisition
+(:meth:`AdmissionController.admit_many`), run-merges adjacent admitted
+entries into zero-copy row slices, hands them to the engine in one
+:meth:`~repro.serve.engine.ServingEngine.submit_many` call, and settles
+the whole unit from one done-callback that releases admission exactly
+once.  The core also owns the mapping from engine-submit exceptions to
+statuses.  What stays per ingress is only the renderer: ``RESPONSE`` /
+``ERROR`` / ``REJECT`` frames for singles, one ``RESPONSE_BATCH`` frame
+for a batch (both encoded off-loop by whichever collector thread
+resolves the last request), or a JSON status for HTTP.  TCP frames are
+submitted with ``flush=False`` and the engine's frame buffer flushed
+once per read chunk, so adjacent frames coalesce into shared engine
+dispatch frames.
 
 **Credit-based backpressure.**  A client that sets
 :data:`~repro.serve.protocol.FLAG_CREDIT` on a PING opts its connection
@@ -88,6 +93,7 @@ from repro.serve.protocol import (
     FrameKind,
     ProtocolError,
     RejectCode,
+    SubmitBatch,
     decode_array,
     decode_submit_batch,
     encode_array,  # noqa: F401  (re-exported for gateway users)
@@ -100,6 +106,8 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["AdmissionController", "GatewayServer", "TokenBucket"]
+
+EXPIRED_DETAIL = "deadline passed before the engine served the request"
 
 
 class TokenBucket:
@@ -265,23 +273,7 @@ class AdmissionController:
         return via :meth:`release` exactly once (with the same
         ``reserved`` flag).
         """
-        with self._lock:
-            code = self._admit_locked(
-                tenant, self._buckets.get(tenant), time.monotonic(),
-                reserved,
-            )
-            if code is not None:
-                self.shed[code] += 1
-            inflight = self._inflight_free + self._inflight_reserved
-        metrics = _metrics()
-        if metrics.enabled:
-            if code is not None:
-                metrics.inc("gateway.shed")
-                metrics.inc(f"gateway.shed.{code.name.lower()}")
-            else:
-                metrics.inc("gateway.admitted")
-                metrics.gauge("gateway.inflight", inflight)
-        return code
+        return self._admit(tenant, 1, reserved)[0]
 
     def admit_many(
         self, tenant: str, count: int, *, reserved: bool = False
@@ -291,9 +283,13 @@ class AdmissionController:
         Returns a per-request list of ``None`` (admitted — one token
         held, same :meth:`release` contract) or the shedding
         :class:`RejectCode`.  One clock read and one lock acquisition
-        cover the whole batch — the admission-side share of the batched
-        fast path.
+        cover the whole batch.
         """
+        return self._admit(tenant, count, reserved)
+
+    def _admit(
+        self, tenant: str, count: int, reserved: bool
+    ) -> list[RejectCode | None]:
         codes: list[RejectCode | None] = []
         shed_counts: dict[RejectCode, int] = {}
         with self._lock:
@@ -345,13 +341,16 @@ class _Connection:
     ``inflight``/``window`` implement the credit protocol for
     cooperative connections: the read loop stops pulling from the
     socket while ``inflight >= window`` and the reply path (hopping
-    onto the loop via :meth:`deliver`) returns credits and resumes it.
+    onto the loop via :meth:`reply`) returns credits and resumes it.
     """
 
-    __slots__ = ("cooperative", "inflight", "outbox", "resume", "window")
+    __slots__ = ("cooperative", "inflight", "loop", "outbox", "resume",
+                 "thread", "window")
 
     def __init__(self, outbox: asyncio.Queue) -> None:
         self.outbox = outbox
+        self.loop = asyncio.get_running_loop()
+        self.thread = threading.get_ident()
         self.cooperative = False
         self.window = 0
         self.inflight = 0
@@ -363,98 +362,175 @@ class _Connection:
         if self.inflight >= self.window:
             self.resume.clear()
 
+    def _credit(self, credits: int) -> bytes:
+        if not (self.cooperative and credits):
+            return b""
+        return encode_frame(Frame(
+            FrameKind.CREDIT, payload=encode_credit(credits)
+        ))
+
+    def refund(self, credits: int, reply: bytes) -> None:
+        """Answer a frame that was never charged, handing back the
+        ``credits`` its sender spent on it."""
+        self.outbox.put_nowait(self._credit(credits) + reply)
+
     def deliver(self, reply: bytes, credits: int = 0) -> None:
         """Enqueue one reply, returning ``credits`` to the connection.
 
-        Runs on the event loop (reply paths coming off collector
-        threads hop here via ``call_soon_threadsafe``).  On cooperative
-        connections the credit grant is *prepended* to the reply bytes
-        so client-side accounting is ahead of the response it unblocks.
+        Runs on the event loop.  On cooperative connections the credit
+        grant is *prepended* to the reply bytes so client-side
+        accounting is ahead of the response it unblocks.
         """
         if self.cooperative and credits:
             self.inflight -= credits
-            reply = encode_frame(Frame(
-                FrameKind.CREDIT, payload=encode_credit(credits)
-            )) + reply
+            reply = self._credit(credits) + reply
             if self.inflight < self.window:
                 self.resume.set()
         self.outbox.put_nowait(reply)
 
-
-class _BatchReply:
-    """Accumulates one SUBMIT_BATCH's results; fires the reply when full.
-
-    Done-callbacks land on engine collector threads (possibly several,
-    concurrently); each settles one merged *run* of adjacent entries
-    (slicing the run's prediction rows back per entry), and the last
-    one to decrement ``_remaining`` encodes the whole
-    ``RESPONSE_BATCH`` *off-loop* before hopping onto the loop to
-    enqueue it — the event loop only ever sees one finished bytes
-    object per batch.
-    """
-
-    __slots__ = ("_conn", "_gateway", "_lock", "_loop", "_remaining",
-                 "predictions", "reserved", "statuses", "tenant",
-                 "trace_id", "trace_ids")
-
-    def __init__(
-        self, gateway: "GatewayServer", conn: _Connection,
-        loop: asyncio.AbstractEventLoop, *, tenant: str, trace_id: int,
-        trace_ids, statuses, predictions, remaining: int, reserved: bool,
-    ) -> None:
-        self._gateway = gateway
-        self._conn = conn
-        self._loop = loop
-        self.tenant = tenant
-        self.trace_id = trace_id
-        self.trace_ids = trace_ids
-        self.statuses = statuses
-        self.predictions = predictions
-        self._remaining = remaining
-        self.reserved = reserved
-        self._lock = threading.Lock()
-
-    def callback_for(self, indices: list[int], rows: list[int]):
-        """Done-callback settling the run of entries ``indices``.
-
-        The run was served as one engine request whose prediction rows
-        are the entries' rows back to back (``rows[k]`` each); expiry
-        marks the whole run (one shared deadline) EXPIRED.
-        """
-        def _on_done(result) -> None:
-            self._gateway.admission.release(
-                reserved=self.reserved, count=len(indices)
-            )
-            if result.predictions is not None:
-                preds = result.predictions
-                offset = 0
-                for index, n in zip(indices, rows):
-                    self.predictions[index] = preds[offset:offset + n]
-                    offset += n
-            else:
-                self.statuses[indices] = int(ErrorCode.EXPIRED)
-            with self._lock:
-                self._remaining -= len(indices)
-                last = self._remaining == 0
-            if last:
-                self.fire()
-        return _on_done
-
-    def fire(self) -> None:
-        reply = encode_frame(Frame(
-            FrameKind.RESPONSE_BATCH,
-            tenant=self.tenant,
-            trace_id=self.trace_id,
-            payload=encode_response_batch(
-                self.trace_ids, self.statuses, self.predictions
-            ),
-        ))
+    def reply(self, reply: bytes, credits: int) -> None:
+        """:meth:`deliver` from any thread: engine collector threads
+        hop onto the loop."""
+        if threading.get_ident() == self.thread:
+            self.deliver(reply, credits)
+            return
         try:
-            self._loop.call_soon_threadsafe(
-                self._conn.deliver, reply, len(self.predictions)
-            )
+            self.loop.call_soon_threadsafe(self.deliver, reply, credits)
         except RuntimeError:
             pass  # loop already closed (connection torn down)
+
+
+class BatchOfOne:
+    """One request's rows in :class:`SubmitBatch`'s shape for
+    :func:`serve_batch`, built from plain tuples: a single frame or an
+    HTTP body is a batch of one."""
+
+    __slots__ = ("block", "features", "offsets", "rows", "trace_ids")
+
+    def __init__(
+        self, payload: np.ndarray, *, features: bool, trace_id: int = 0
+    ) -> None:
+        self.block = payload
+        self.features = features
+        self.rows = (payload.shape[0],)
+        self.offsets = (0, payload.shape[0])
+        self.trace_ids = (trace_id,)
+
+    def __len__(self) -> int:
+        return 1
+
+
+def serve_batch(
+    gateway, tenant: str, batch: SubmitBatch, *, deadline, reserved: bool,
+    flush: bool, settle,
+) -> bool:
+    """The one ingress core: admit, run-merge, submit, settle.
+
+    Every ingress — TCP single frames, ``SUBMIT_BATCH`` frames, HTTP
+    bodies — feeds its decoded request(s) through here as a
+    :class:`SubmitBatch` (a single request is a :class:`BatchOfOne`).  The
+    core admits every entry in one lock trip
+    (:meth:`AdmissionController.admit_many`), folds adjacent admitted
+    entries into merged engine requests (a run's rows are already
+    contiguous in the batch block, so one zero-copy slice serves the
+    whole run, bounded by the engine's per-request query cap), and
+    hands them to the engine in one
+    :meth:`~repro.serve.engine.ServingEngine.submit_many` call.
+
+    ``settle(statuses, predictions, detail)`` runs exactly once with
+    the per-entry outcome in the ``RESPONSE_BATCH`` convention —
+    ``statuses[i]`` is 0 (OK, ``predictions[i]`` holds its rows), an
+    :class:`ErrorCode`, or ``BATCH_REJECT_BASE + RejectCode`` — and
+    ``detail`` the engine's error text when the submit itself failed.
+    It runs on the calling thread when nothing reached the engine, else
+    on the collector thread that resolves the last run.  Every admitted
+    entry's in-flight token is released exactly once before it runs.
+
+    Returns True when requests reached the engine (the caller owes the
+    engine a :meth:`~repro.serve.engine.ServingEngine.flush` when it
+    passed ``flush=False``).
+    """
+    admission = gateway.admission
+    codes = admission.admit_many(tenant, len(batch), reserved=reserved)
+    statuses = np.zeros(len(batch), dtype=np.uint8)
+    predictions: list = [None] * len(batch)
+    cap = gateway.engine.max_queries_per_request
+    runs: list[tuple[list[int], list[int]]] = []  # (entries, their rows)
+    total = math.inf  # rows in the open run; inf when none is open
+    for i, code in enumerate(codes):
+        if code is not None:
+            statuses[i] = BATCH_REJECT_BASE + int(code)
+            total = math.inf
+            continue
+        n_rows = int(batch.rows[i])
+        if total + n_rows > cap:
+            runs.append(([], []))
+            total = 0
+        runs[-1][0].append(i)
+        runs[-1][1].append(n_rows)
+        total += n_rows
+    if not runs:
+        settle(statuses, predictions, "")
+        return False
+    offsets = batch.offsets
+    requests = [
+        ServeRequest(
+            batch.block[offsets[indices[0]]:offsets[indices[-1] + 1]],
+            features=batch.features,
+            deadline=deadline,
+            tenant=tenant,
+            trace_id=int(batch.trace_ids[indices[0]]),
+        )
+        for indices, _ in runs
+    ]
+    admitted = codes.count(None)
+    try:
+        futures = gateway.engine.submit_many(requests, flush=flush)
+    except ValueError as exc:
+        fail, detail = int(ErrorCode.BAD_REQUEST), str(exc)
+    except Backpressure as exc:
+        # Should not happen (the in-flight cap <= ring slots), but the
+        # engine may be shared with non-gateway submitters.
+        fail, detail = BATCH_REJECT_BASE + int(RejectCode.OVERLOADED), str(exc)
+    except RuntimeError as exc:  # engine stopped underneath us
+        fail, detail = (
+            BATCH_REJECT_BASE + int(RejectCode.SHUTTING_DOWN), str(exc)
+        )
+    else:
+        remaining = admitted
+        lock = threading.Lock()
+
+        def _callback_for(indices: list[int], rows: list[int]):
+            # The run was served as one engine request whose prediction
+            # rows are the entries' rows back to back (``rows[k]``
+            # each); expiry marks the whole run (one shared deadline).
+            def _on_done(result) -> None:
+                nonlocal remaining
+                admission.release(reserved=reserved, count=len(indices))
+                if result.predictions is not None:
+                    preds = result.predictions
+                    offset = 0
+                    for index, n in zip(indices, rows):
+                        predictions[index] = preds[offset:offset + n]
+                        offset += n
+                else:
+                    statuses[indices] = int(ErrorCode.EXPIRED)
+                with lock:
+                    remaining -= len(indices)
+                    last = remaining == 0
+                if last:
+                    settle(statuses, predictions, "")
+            return _on_done
+
+        for (indices, rows), future in zip(runs, futures):
+            future.add_done_callback(_callback_for(indices, rows))
+        return True
+    # submit_many is all-or-nothing: every admitted entry failed the
+    # same way, so resolve them in place and answer immediately.
+    admission.release(reserved=reserved, count=admitted)
+    statuses[statuses == 0] = fail
+    settle(statuses, predictions, detail)
+    return False
 
 
 class GatewayServer:
@@ -729,15 +805,13 @@ class GatewayServer:
     # -- frame handling ------------------------------------------------
 
     def _handle_frame(self, frame: Frame, conn: _Connection) -> bool:
-        """Process one inbound frame; True if an engine submit needs a
-        flush (the caller flushes once per read chunk)."""
+        """Process one inbound frame; True if it reached the engine
+        unflushed (the caller flushes once per read chunk)."""
         if frame.kind == FrameKind.PING:
             self._handle_ping(frame, conn)
             return False
-        if frame.kind == FrameKind.SUBMIT_BATCH:
-            self._handle_batch(frame, conn)
-            return False
-        if frame.kind not in (FrameKind.PACKED, FrameKind.FEATURES):
+        single = frame.kind in (FrameKind.PACKED, FrameKind.FEATURES)
+        if not single and frame.kind != FrameKind.SUBMIT_BATCH:
             conn.outbox.put_nowait(encode_frame(Frame(
                 FrameKind.ERROR,
                 trace_id=frame.trace_id,
@@ -747,7 +821,58 @@ class GatewayServer:
                 ),
             )))
             return False
-        return self._handle_single(frame, conn)
+        tenant = frame.tenant or self.engine.tenants[0]
+        try:
+            if single:
+                batch = BatchOfOne(
+                    decode_array(frame.kind, frame.payload),
+                    features=frame.kind == FrameKind.FEATURES,
+                    trace_id=frame.trace_id,
+                )
+            else:
+                batch = decode_submit_batch(frame.payload)
+        except ProtocolError as exc:
+            # A single frame spent one credit; a malformed batch's entry
+            # count is unknown, so it gets none back.
+            conn.refund(int(single), encode_frame(Frame(
+                FrameKind.ERROR,
+                tenant=tenant,
+                trace_id=frame.trace_id,
+                payload=encode_status(ErrorCode.BAD_REQUEST, str(exc)),
+            )))
+            return False
+        count = len(batch)
+        if conn.cooperative:
+            if conn.inflight + count > conn.window:
+                # Window overrun: typed reject, credits refunded — the
+                # client that respects its grants never lands here.
+                conn.refund(count, self._reject_frame(
+                    frame, tenant, RejectCode.OVERLOADED
+                ))
+                return False
+            conn.charge(count)
+
+        def _settle(statuses, predictions, detail) -> None:
+            if single:
+                reply = self._single_reply(
+                    frame, tenant, int(statuses[0]), predictions[0], detail
+                )
+            else:
+                reply = encode_frame(Frame(
+                    FrameKind.RESPONSE_BATCH,
+                    tenant=tenant,
+                    trace_id=frame.trace_id,
+                    payload=encode_response_batch(
+                        batch.trace_ids, statuses, predictions
+                    ),
+                ))
+            conn.reply(reply, count)
+
+        return serve_batch(
+            self, tenant, batch,
+            deadline=frame.deadline_ns / 1e9 if frame.deadline_ns else None,
+            reserved=conn.cooperative, flush=False, settle=_settle,
+        )
 
     def _handle_ping(self, frame: Frame, conn: _Connection) -> None:
         if frame.flags & FLAG_CREDIT and not conn.cooperative:
@@ -765,7 +890,7 @@ class GatewayServer:
         )))
 
     def _reject_frame(
-        self, frame: Frame, tenant: str, code: RejectCode
+        self, frame: Frame, tenant: str, code: RejectCode, detail: str = ""
     ) -> bytes:
         retry = (
             self.admission.retry_after_ms(tenant)
@@ -775,207 +900,25 @@ class GatewayServer:
             FrameKind.REJECT,
             tenant=tenant,
             trace_id=frame.trace_id,
-            payload=encode_reject(code, code.name, retry),
+            payload=encode_reject(code, detail or code.name, retry),
         ))
 
-    def _handle_single(self, frame: Frame, conn: _Connection) -> bool:
-        tenant = frame.tenant or self.engine.tenants[0]
-        if conn.cooperative:
-            if conn.inflight + 1 > conn.window:
-                # Window overrun: typed reject, credit refunded — the
-                # client that respects its grants never lands here.
-                conn.outbox.put_nowait(encode_frame(Frame(
-                    FrameKind.CREDIT, payload=encode_credit(1)
-                )) + self._reject_frame(
-                    frame, tenant, RejectCode.OVERLOADED
-                ))
-                return False
-            conn.charge(1)
-        code = self.admission.admit(tenant, reserved=conn.cooperative)
-        if code is not None:
-            conn.deliver(self._reject_frame(frame, tenant, code), 1)
-            return False
-        loop = asyncio.get_running_loop()
-        trace_id = frame.trace_id
-        reserved = conn.cooperative
-        try:
-            payload = decode_array(frame.kind, frame.payload)
-            request = ServeRequest(
-                payload,
-                features=frame.kind == FrameKind.FEATURES,
-                deadline=(
-                    frame.deadline_ns / 1e9 if frame.deadline_ns else None
-                ),
-                tenant=tenant,
-                trace_id=trace_id,
+    def _single_reply(
+        self, frame: Frame, tenant: str, status: int, predictions, detail
+    ) -> bytes:
+        """RESPONSE, ERROR or REJECT frame for a single-request frame."""
+        if status >= BATCH_REJECT_BASE:
+            return self._reject_frame(
+                frame, tenant, RejectCode(status - BATCH_REJECT_BASE), detail
             )
-            future = self.engine.submit(request, flush=False)
-        except (ProtocolError, ValueError) as exc:
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.ERROR,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(ErrorCode.BAD_REQUEST, str(exc)),
-            )), 1)
-            return False
-        except Backpressure as exc:
-            # Should not happen (the in-flight cap <= ring slots), but
-            # the engine may be shared with non-gateway submitters.
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.REJECT,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(RejectCode.OVERLOADED, str(exc)),
-            )), 1)
-            return False
-        except RuntimeError as exc:  # engine stopped underneath us
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.REJECT,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(RejectCode.SHUTTING_DOWN, str(exc)),
-            )), 1)
-            return False
-
-        def _on_done(result) -> None:
-            # Runs on an engine collector thread: hop onto the loop.
-            self.admission.release(reserved=reserved)
-            if result.predictions is not None:
-                reply = encode_frame(Frame(
-                    FrameKind.RESPONSE,
-                    tenant=tenant,
-                    trace_id=trace_id,
-                    payload=encode_predictions(result.predictions),
-                ))
-            else:
-                reply = encode_frame(Frame(
-                    FrameKind.ERROR,
-                    tenant=tenant,
-                    trace_id=trace_id,
-                    payload=encode_status(
-                        ErrorCode.EXPIRED,
-                        "deadline passed before the engine served the "
-                        "request",
-                    ),
-                ))
-            try:
-                loop.call_soon_threadsafe(conn.deliver, reply, 1)
-            except RuntimeError:
-                pass  # loop already closed (connection torn down)
-
-        future.add_done_callback(_on_done)
-        return True
-
-    def _handle_batch(self, frame: Frame, conn: _Connection) -> None:
-        tenant = frame.tenant or self.engine.tenants[0]
-        try:
-            batch = decode_submit_batch(frame.payload)
-        except ProtocolError as exc:
-            conn.outbox.put_nowait(encode_frame(Frame(
-                FrameKind.ERROR,
-                tenant=tenant,
-                trace_id=frame.trace_id,
-                payload=encode_status(ErrorCode.BAD_REQUEST, str(exc)),
-            )))
-            return
-        count = len(batch)
-        if conn.cooperative:
-            if conn.inflight + count > conn.window:
-                conn.outbox.put_nowait(encode_frame(Frame(
-                    FrameKind.CREDIT, payload=encode_credit(count)
-                )) + self._reject_frame(
-                    frame, tenant, RejectCode.OVERLOADED
-                ))
-                return
-            conn.charge(count)
-        reserved = conn.cooperative
-        codes = self.admission.admit_many(tenant, count, reserved=reserved)
-        statuses = np.zeros(count, dtype=np.uint8)
-        predictions: list = [None] * count
-        deadline = frame.deadline_ns / 1e9 if frame.deadline_ns else None
-        # Fold adjacent admitted entries into merged engine requests:
-        # a run's rows are already contiguous in the batch block, so
-        # one zero-copy slice serves the whole run as a single engine
-        # submit (bounded by the engine's per-request query cap), and
-        # its done-callback slices the predictions back per entry.
-        cap = max(1, self.engine.max_queries_per_request)
-        offsets = batch.offsets
-        requests: list[ServeRequest] = []
-        runs: list[tuple[list[int], list[int]]] = []
-        run_idx: list[int] = []
-        run_rows: list[int] = []
-        run_total = 0
-        admitted: list[int] = []
-
-        def _close_run() -> None:
-            nonlocal run_idx, run_rows, run_total
-            if not run_idx:
-                return
-            first, stop = run_idx[0], run_idx[-1] + 1
-            requests.append(ServeRequest(
-                batch.block[offsets[first]:offsets[stop]],
-                features=batch.features,
-                deadline=deadline,
-                tenant=tenant,
-                trace_id=int(batch.trace_ids[first]),
-            ))
-            runs.append((run_idx, run_rows))
-            run_idx, run_rows, run_total = [], [], 0
-
-        for i, code in enumerate(codes):
-            if code is not None:
-                statuses[i] = BATCH_REJECT_BASE + int(code)
-                _close_run()
-                continue
-            n_rows = int(batch.rows[i])
-            if run_idx and run_total + n_rows > cap:
-                _close_run()
-            run_idx.append(i)
-            run_rows.append(n_rows)
-            run_total += n_rows
-            admitted.append(i)
-        _close_run()
-        reply = _BatchReply(
-            self, conn, asyncio.get_running_loop(),
-            tenant=tenant, trace_id=frame.trace_id,
-            trace_ids=batch.trace_ids, statuses=statuses,
-            predictions=predictions, remaining=len(admitted),
-            reserved=reserved,
-        )
-        if not admitted:
-            conn.deliver(encode_frame(Frame(
-                FrameKind.RESPONSE_BATCH,
-                tenant=tenant,
-                trace_id=frame.trace_id,
-                payload=encode_response_batch(
-                    batch.trace_ids, statuses, predictions
-                ),
-            )), count)
-            return
-        try:
-            futures = self.engine.submit_many(requests)
-        except (ProtocolError, ValueError):
-            fail = int(ErrorCode.BAD_REQUEST)
-        except Backpressure:
-            fail = BATCH_REJECT_BASE + int(RejectCode.OVERLOADED)
-        except RuntimeError:  # engine stopped underneath us
-            fail = BATCH_REJECT_BASE + int(RejectCode.SHUTTING_DOWN)
-        else:
-            for (indices, rows), future in zip(runs, futures):
-                future.add_done_callback(reply.callback_for(indices, rows))
-            return
-        # submit_many is all-or-nothing: every admitted entry failed the
-        # same way, so resolve them in place and answer immediately.
-        self.admission.release(reserved=reserved, count=len(admitted))
-        statuses[admitted] = fail
-        conn.deliver(encode_frame(Frame(
-            FrameKind.RESPONSE_BATCH,
+        if status == ErrorCode.EXPIRED:
+            detail = EXPIRED_DETAIL
+        return encode_frame(Frame(
+            FrameKind.ERROR if status else FrameKind.RESPONSE,
             tenant=tenant,
             trace_id=frame.trace_id,
-            payload=encode_response_batch(
-                batch.trace_ids, statuses, predictions
+            payload=(
+                encode_status(status, detail) if status
+                else encode_predictions(predictions)
             ),
-        )), count)
+        ))

@@ -6,12 +6,14 @@ that makes the gateway curl-able::
     curl -s http://127.0.0.1:8080/v1/predict \\
         -d '{"tenant": "alpha", "features": [[0.1, 0.9, ...]]}'
 
-Requests ride the exact same path as binary-protocol traffic: the same
+Requests ride the exact same path as binary-protocol traffic: a body is
+a batch of one through the gateway's ingress core
+(:func:`~repro.serve.gateway.serve_batch`), so the same
 :class:`~repro.serve.gateway.AdmissionController` decides admission
-(so HTTP traffic is rate-limited and shed by the same policy, and
-counted in the same metrics) and the same
-:meth:`~repro.serve.engine.ServingEngine.submit` serves it.  Admission
-refusals map onto HTTP status codes:
+(HTTP traffic is rate-limited and shed by the same policy, and counted
+in the same metrics), the same engine call serves it, and the same
+code releases its admission slot.  This module only parses the body
+and renders the outcome as an HTTP status:
 
 ====================  ======  =======================================
 Reject / error        Status  Notes
@@ -22,7 +24,9 @@ Reject / error        Status  Notes
 ``OVERLOADED``        503
 ``SHUTTING_DOWN``     503
 ``UNKNOWN_TENANT``    404
-``BAD_REQUEST``       400     malformed JSON / payload shape
+``BAD_REQUEST``       400     malformed JSON / headers / payload
+                              shape, non-finite features, a deadline
+                              that is not finite and positive
 ``EXPIRED``           504     deadline passed before serving
 ====================  ======  =======================================
 
@@ -42,8 +46,8 @@ import math
 
 import numpy as np
 
-from repro.serve.engine import Backpressure, ServeRequest
-from repro.serve.protocol import RejectCode
+from repro.serve.gateway import EXPIRED_DETAIL, BatchOfOne, serve_batch
+from repro.serve.protocol import BATCH_REJECT_BASE, ErrorCode, RejectCode
 
 __all__ = ["handle_http_connection"]
 
@@ -158,6 +162,8 @@ async def _read_request(request_line: bytes, reader):
         raise _HttpError(
             400, {"error": "content-length is not an integer"}
         ) from None
+    if length < 0:
+        raise _HttpError(400, {"error": "content-length is negative"})
     if length > _MAX_BODY_BYTES:
         raise _HttpError(
             400, {"error": f"body of {length} bytes exceeds the "
@@ -231,8 +237,6 @@ def _parse_predict(gateway, body: bytes):
             raise _HttpError(
                 400, {"error": "deadline_ms must be a number"}
             ) from None
-        if deadline <= 0:
-            raise _HttpError(400, {"error": "deadline_ms must be > 0"})
     return matrix, features, tenant, deadline
 
 
@@ -247,61 +251,43 @@ def _reject_error(gateway, tenant: str, code: RejectCode) -> _HttpError:
 
 
 async def _predict(gateway, matrix, features, tenant, deadline):
-    code = gateway.admission.admit(tenant)
-    if code is not None:
-        raise _reject_error(gateway, tenant, code)
+    """Serve one body through the gateway's ingress core; render JSON."""
     loop = asyncio.get_running_loop()
     waiter: asyncio.Future = loop.create_future()
-    try:
-        future = gateway.engine.submit(ServeRequest(
-            matrix, features=features, deadline=deadline, tenant=tenant,
-        ))
-    except ValueError as exc:
-        gateway.admission.release()
-        raise _HttpError(400, {"error": str(exc)}) from None
-    except Backpressure:
-        gateway.admission.release()
-        raise _reject_error(
-            gateway, tenant, RejectCode.OVERLOADED
-        ) from None
-    except RuntimeError:  # engine stopped underneath us
-        gateway.admission.release()
-        raise _reject_error(
-            gateway, tenant, RejectCode.SHUTTING_DOWN
-        ) from None
 
-    def _on_done(result) -> None:
-        gateway.admission.release()
+    def _settle(outcome) -> None:
+        if not waiter.done():
+            waiter.set_result(outcome)
+
+    def _on_settled(statuses, predictions, detail) -> None:
+        # May run on an engine collector thread: hop onto the loop.
         try:
-            loop.call_soon_threadsafe(_settle, result)
+            loop.call_soon_threadsafe(
+                _settle, (int(statuses[0]), predictions[0], detail)
+            )
         except RuntimeError:
             pass  # loop already closed
 
-    def _settle(result) -> None:
-        if not waiter.done():
-            waiter.set_result(result)
-
-    future.add_done_callback(_on_done)
-    try:
-        result = await waiter
-    except asyncio.CancelledError:
-        # Aborting client or stopping gateway cancelled us while the
-        # engine still owns the request.  The admission slot is NOT
-        # released here: ``_on_done`` releases it exactly once whenever
-        # the engine resolves, and ``_settle``'s ``done()`` guard makes
-        # the late result a no-op against this cancelled waiter (a
-        # plain result, never an exception, so no "Future exception was
-        # never retrieved" can escape).  Propagate so the handler task
-        # finishes cancelled instead of writing into a dead socket.
-        raise
-    if result.predictions is None:
-        raise _HttpError(
-            504,
-            {"error": "EXPIRED",
-             "detail": "deadline passed before the engine served the "
-             "request"},
+    serve_batch(
+        gateway, tenant, BatchOfOne(matrix, features=features),
+        deadline=deadline, reserved=False, flush=True, settle=_on_settled,
+    )
+    # An aborting client or a stopping gateway may cancel this await
+    # while the engine still owns the request.  The core releases the
+    # admission slot exactly once whenever the engine resolves, and
+    # ``_settle``'s ``done()`` guard makes the late outcome a no-op
+    # against the cancelled waiter (a plain result, never an exception,
+    # so no "Future exception was never retrieved" can escape).
+    status, predictions, detail = await waiter
+    if status == 0:
+        return 200, {"predictions": predictions.tolist()}, {}
+    if status >= BATCH_REJECT_BASE:
+        raise _reject_error(
+            gateway, tenant, RejectCode(status - BATCH_REJECT_BASE)
         )
-    return 200, {"predictions": result.predictions.tolist()}, {}
+    if status == ErrorCode.EXPIRED:
+        raise _HttpError(504, {"error": "EXPIRED", "detail": EXPIRED_DETAIL})
+    raise _HttpError(400, {"error": detail})
 
 
 async def _respond(

@@ -1,4 +1,4 @@
-"""Tests for the unified fault-injection API and the deprecation shims."""
+"""Tests for the unified fault-injection API."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from repro.faults.api import (
     inject,
     make_injector,
 )
-from repro.faults.bitflip import attack_hdc_model
-from repro.faults.informed import attack_hdc_informed
 from repro.faults.models import TransientFlipProcess
 
 
@@ -192,49 +190,53 @@ class TestAttack:
         assert (mask.bit_indices == diff).all()
 
 
-class TestDeprecatedShims:
-    def test_attack_hdc_model_warns_and_matches(self):
-        model = make_model(dim=512)
-        with pytest.warns(DeprecationWarning, match="attack_hdc_model"):
-            legacy = attack_hdc_model(
-                model, 0.1, "random", np.random.default_rng(4)
-            )
-        new, _ = attack(model, 0.1, "random", np.random.default_rng(4))
-        assert (legacy.class_hv == new.class_hv).all()
+class TestSeededAttack:
+    """``attack`` draws the same flips as the sampling primitives it
+    wraps, so a seeded campaign replays bit for bit."""
 
-    def test_attack_hdc_model_clustered_kwarg(self):
+    def test_random_matches_sampling_primitive(self):
+        from repro.faults.bitflip import flip_hdc_bits, sample_random_bits
+
+        model = make_model(dim=512)
+        attacked, _ = attack(model, 0.1, "random", np.random.default_rng(4))
+        expected = model.copy()
+        flip_hdc_bits(expected, sample_random_bits(
+            model.total_bits, 0.1, np.random.default_rng(4)
+        ))
+        assert (attacked.class_hv == expected.class_hv).all()
+
+    def test_clustered_kwarg_matches_sampling_primitive(self):
+        from repro.faults.bitflip import flip_hdc_bits, sample_clustered_bits
+
         model = make_model(dim=2048)
-        with pytest.warns(DeprecationWarning):
-            legacy = attack_hdc_model(
-                model, 0.05, "clustered", np.random.default_rng(5),
-                cluster_bits=128,
-            )
-        new, _ = attack(
+        attacked, _ = attack(
             model, 0.05, "clustered", np.random.default_rng(5),
             cluster_bits=128,
         )
-        assert (legacy.class_hv == new.class_hv).all()
+        expected = model.copy()
+        flip_hdc_bits(expected, sample_clustered_bits(
+            model.total_bits, 0.05, np.random.default_rng(5),
+            cluster_bits=128,
+        ))
+        assert (attacked.class_hv == expected.class_hv).all()
 
-    def test_attack_hdc_model_still_checks_mode(self):
-        model = make_model()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="mode"):
-                attack_hdc_model(model, 0.1, "bogus", np.random.default_rng(0))
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            attack(make_model(), 0.1, "bogus", np.random.default_rng(0))
 
-    def test_attack_hdc_informed_warns_and_matches(self):
+    def test_informed_matches_injector(self):
         model = make_model(dim=256)
         queries = np.random.default_rng(1).integers(
             0, 2, (20, 256), dtype=np.uint8
         )
-        with pytest.warns(DeprecationWarning, match="attack_hdc_informed"):
-            legacy = attack_hdc_informed(
-                model, 0.05, queries, np.random.default_rng(6)
-            )
-        new, _ = attack(
+        attacked, _ = attack(
             model, 0.05, "informed", np.random.default_rng(6),
             reference_queries=queries,
         )
-        assert (legacy.class_hv == new.class_hv).all()
+        mask = InformedBitflipInjector(reference_queries=queries).inject(
+            model, 0.05, np.random.default_rng(6)
+        )
+        assert (attacked.class_hv == mask.applied_to(model).class_hv).all()
 
 
 class TestTransientProcessConvergence:

@@ -17,7 +17,8 @@ import pytest
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier
 from repro.datasets.synthetic import make_prototype_classification
-from repro.serve import Backpressure, ServingEngine
+from repro.serve import Backpressure, ServeRequest, ServingEngine
+from serve_helpers import serve_all
 
 
 def shm_entries(prefix: str) -> list[str]:
@@ -43,7 +44,7 @@ class TestServing:
         reference = clf.predict(task.test_x)
         packed = clf.encoder.encode_packed(task.test_x)
         with ServingEngine(clf, num_workers=2) as engine:
-            served = engine.predict(packed.words)
+            served = serve_all(engine, packed.words)
             prefix = engine.config.prefix
         assert (served == reference).all()
         assert shm_entries(prefix) == []
@@ -52,15 +53,14 @@ class TestServing:
         task, clf = fitted
         reference = clf.predict(task.test_x)
         with ServingEngine(clf, num_workers=2) as engine:
-            served = engine.predict_features(task.test_x)
+            served = serve_all(engine, task.test_x, features=True)
         assert (served == reference).all()
 
     def test_single_request_roundtrip(self, fitted):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:5]).words
         with ServingEngine(clf, num_workers=1) as engine:
-            request_id = engine.submit(words)
-            result = engine.result(request_id)
+            result = engine.submit(ServeRequest(words)).result()
         assert result.ok and not result.expired
         assert (result.predictions == clf.predict(task.test_x[:5])).all()
 
@@ -68,7 +68,7 @@ class TestServing:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             trace = engine.trace
         assert len(trace) >= 1
         assert trace.queries_served == task.test_x.shape[0]
@@ -92,7 +92,7 @@ class TestServing:
         task, clf = fitted
         with ServingEngine(clf.model, num_workers=1) as engine:
             with pytest.raises(ValueError, match="encoder"):
-                engine.submit_features(task.test_x[:2])
+                engine.submit(ServeRequest(task.test_x[:2], features=True))
 
 
 class TestDeadlinesAndBackpressure:
@@ -102,9 +102,10 @@ class TestDeadlinesAndBackpressure:
         with ServingEngine(clf, num_workers=1) as engine:
             # Warm the worker up so the expired request is not stuck
             # behind fork latency in a way that masks the deadline path.
-            engine.result(engine.submit(words))
-            request_id = engine.submit(words, deadline=1e-9)
-            result = engine.result(request_id)
+            engine.submit(ServeRequest(words)).result()
+            result = engine.submit(
+                ServeRequest(words, deadline=1e-9)
+            ).result()
         assert result.expired
         assert result.predictions is None
         assert not result.ok
@@ -118,10 +119,10 @@ class TestDeadlinesAndBackpressure:
         try:
             # Fill both slots without dispatching (flush=False): the ring
             # is now saturated and the next submit must shed load.
-            engine.submit(words, flush=False)
-            engine.submit(words, flush=False)
+            engine.submit(ServeRequest(words), flush=False)
+            engine.submit(ServeRequest(words), flush=False)
             with pytest.raises(Backpressure, match="in flight"):
-                engine.submit(words, flush=False)
+                engine.submit(ServeRequest(words), flush=False)
         finally:
             engine.stop()
 
@@ -131,7 +132,7 @@ class TestDeadlinesAndBackpressure:
         engine = ServingEngine(clf, num_workers=1)
         engine.stop()
         with pytest.raises(RuntimeError, match="stopped"):
-            engine.submit(words)
+            engine.submit(ServeRequest(words))
 
 
 class TestLifecycle:
@@ -156,7 +157,10 @@ class TestLifecycle:
             # Put real work in flight (below the frame-batch auto-flush
             # threshold, so nothing is served before the kill), then kill
             # both workers mid-batch.
-            ids = [engine.submit(words, flush=False) for _ in range(6)]
+            futures = [
+                engine.submit(ServeRequest(words), flush=False)
+                for _ in range(6)
+            ]
             for worker in engine.workers:
                 os.kill(worker.pid, signal.SIGKILL)
             engine.flush()
@@ -165,8 +169,8 @@ class TestLifecycle:
             engine.stop()
         assert shm_entries(prefix) == []
         # Unserved requests were resolved as failures, not left pending.
-        for request_id in ids:
-            assert not engine.result(request_id, timeout=1.0).ok
+        for future in futures:
+            assert not future.result(timeout=1.0).ok
 
     def test_worker_exit_keeps_segments_usable_by_survivors(self, fitted):
         task, clf = fitted
@@ -177,7 +181,7 @@ class TestLifecycle:
         try:
             os.kill(engine.workers[0].pid, signal.SIGKILL)
             time.sleep(0.05)
-            served = engine.predict(words)  # survivor serves everything
+            served = serve_all(engine, words)  # survivor serves everything
             assert (served == reference).all()
         finally:
             engine.stop()

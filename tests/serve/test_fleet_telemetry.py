@@ -27,7 +27,8 @@ from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.telemetry import correlate, render_contention_table
-from repro.serve import ServingEngine
+from repro.serve import ServeRequest, ServingEngine
+from serve_helpers import serve_all
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,8 @@ class TestFleetScrape:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
-            engine.predict(words)
+            serve_all(engine, words)
+            serve_all(engine, words)
             merged = engine.scrape_telemetry(MetricsRegistry())
             trace = engine.trace
         assert merged["counters"]["batches"] == len(trace)
@@ -65,7 +66,7 @@ class TestFleetScrape:
         words = clf.encoder.encode_packed(task.test_x).words
         registry = MetricsRegistry()
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             engine.scrape_telemetry(registry)
             ps = engine.telemetry.percentiles("batch_duration_ns")
         assert registry.counter("serve.fleet.queries") == words.shape[0]
@@ -83,7 +84,7 @@ class TestFleetScrape:
         with use_metrics(MetricsRegistry()) as registry:
             engine = ServingEngine(clf, num_workers=1)
             try:
-                engine.predict(words)
+                serve_all(engine, words)
             finally:
                 engine.stop()
             assert registry.counter("serve.fleet.queries") == words.shape[0]
@@ -96,7 +97,7 @@ class TestFleetScrape:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         with ServingEngine(clf, num_workers=1, telemetry=False) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             assert engine.telemetry is None
             assert engine.flight_recorder is None
             with pytest.raises(RuntimeError, match="telemetry=False"):
@@ -110,7 +111,7 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             events = list(engine.trace)
         assert events
         # Every batch carries the lowest trace id it coalesced, and the
@@ -124,9 +125,9 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.predict(words)  # some traffic before the publish
+            serve_all(engine, words)  # some traffic before the publish
             engine.publisher.publish(clf.model)
-            engine.predict(words)  # traffic after
+            serve_all(engine, words)  # traffic after
             log = engine.publisher.publish_log
             trace = engine.trace
         # Generation 1 (startup) precedes all traffic; the re-publish is
@@ -142,9 +143,9 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             engine.publisher.publish(clf.model)
-            engine.predict(words)
+            serve_all(engine, words)
             rows = correlate(engine.trace, engine.publisher)
         by_gen = {row["generation"]: row for row in rows}
         new_gen = max(by_gen)
@@ -165,7 +166,7 @@ class TestFlightRecorderIntegration:
         engine = ServingEngine(clf, num_workers=1)
         prefix = engine.config.prefix
         try:
-            engine.predict(words)  # real served traffic in the ring
+            serve_all(engine, words)  # real served traffic in the ring
             victim = engine.workers[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
@@ -187,9 +188,9 @@ class TestFlightRecorderIntegration:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.result(engine.submit(words))  # warm up
-            request_id = engine.submit(words, deadline=1e-9)
-            assert engine.result(request_id).expired
+            engine.submit(ServeRequest(words)).result()  # warm up
+            future = engine.submit(ServeRequest(words, deadline=1e-9))
+            assert future.result().expired
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 misses = [
@@ -200,14 +201,14 @@ class TestFlightRecorderIntegration:
                     break
                 time.sleep(0.01)
         assert misses
-        assert misses[0].args[0] == request_id
+        assert misses[0].args[0] == future.request_id
 
     def test_all_events_merges_workers(self, fitted):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
-            engine.predict(words)
+            serve_all(engine, words)
+            serve_all(engine, words)
             events = engine.flight_recorder.all_events()
         assert {e.worker_id for e in events} == {0, 1}
         t = [e.t_ns for e in events]
@@ -235,7 +236,7 @@ class TestBitIdentity:
 
             def traffic():
                 while not stop.is_set():
-                    engine.predict(eval_words)
+                    serve_all(engine, eval_words)
 
             thread = threading.Thread(target=traffic, daemon=True)
             thread.start()
@@ -244,7 +245,7 @@ class TestBitIdentity:
                     0.2, config=RecoveryConfig(), passes=2, seed=11,
                     publisher=engine.publisher,
                 )
-                final = engine.predict(eval_words)
+                final = serve_all(engine, eval_words)
             finally:
                 stop.set()
                 thread.join()

@@ -21,8 +21,9 @@ from repro.serve import (
     ServingEngine,
     TenantRegistry,
 )
+from repro.serve.client import GatewayError
 from repro.serve.gateway import AdmissionController, GatewayServer, TokenBucket
-from repro.serve.protocol import RejectCode
+from repro.serve.protocol import ErrorCode, RejectCode
 
 
 def _fitted(seed, num_features=10, dim=512):
@@ -335,6 +336,30 @@ class TestCrashUnderGateway:
             server.stop()
             engine.stop()
         assert glob.glob(f"/dev/shm/{prefix}*") == []
+
+
+class TestPoisonPayloads:
+    def test_nan_feature_frame_is_bad_request_and_workers_survive(self):
+        """A non-finite feature row is refused before it reaches a
+        worker: it used to crash the worker quantising it, then the
+        survivor it was re-routed to, leaving no live worker."""
+        task, clf = _fitted(61)
+        engine = ServingEngine(clf, num_workers=2, ring_slots=16)
+        server = GatewayServer(engine).start()
+        rows = task.test_x[:2].copy()
+        rows[0, 3] = np.nan
+        try:
+            with GatewayClient("127.0.0.1", server.port, timeout=10) as c:
+                with pytest.raises(GatewayError) as info:
+                    c.predict(rows, features=True)
+                assert info.value.code == ErrorCode.BAD_REQUEST
+                got = c.predict(task.test_x[:2], features=True)
+            np.testing.assert_array_equal(got, clf.predict(task.test_x[:2]))
+            assert engine.live_workers == 2
+            assert server.admission.inflight == 0
+        finally:
+            server.stop()
+            engine.stop()
 
 
 class TestGatewayLifecycle:

@@ -156,6 +156,55 @@ class TestErrorGrades:
         assert stack["server"].admission.inflight == 0
 
 
+class TestHostileInput:
+    def test_infinite_deadline_is_400_and_releases_admission(self, stack):
+        server, task = stack["server"], stack["task"]
+        # json.dumps writes float("inf") as the Infinity literal that
+        # json.loads accepts.
+        status, payload, _, _ = _request(
+            server.http_port, "POST", "/v1/predict",
+            {"tenant": "alpha", "features": task.test_x[:2].tolist(),
+             "deadline_ms": float("inf")},
+        )
+        assert status == 400 and "deadline" in payload["error"]
+        assert server.admission.inflight == 0
+
+    def test_negative_content_length_is_400(self, stack):
+        server = stack["server"]
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.http_port, timeout=10
+        )
+        try:
+            conn.putrequest("POST", "/v1/predict")
+            conn.putheader("Content-Length", "-5")
+            conn.endheaders()
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400 and "content-length" in payload["error"]
+        assert server.admission.inflight == 0
+
+    def test_nan_features_are_400_and_workers_survive(self, stack):
+        server, engine = stack["server"], stack["engine"]
+        task, clf = stack["task"], stack["clf"]
+        rows = task.test_x[:2].tolist()
+        rows[0][3] = float("nan")
+        status, payload, _, _ = _request(
+            server.http_port, "POST", "/v1/predict",
+            {"tenant": "alpha", "features": rows},
+        )
+        assert status == 400 and "finite" in payload["error"]
+        status, payload, _, _ = _request(
+            server.http_port, "POST", "/v1/predict",
+            {"tenant": "alpha", "features": task.test_x[:2].tolist()},
+        )
+        assert status == 200
+        assert payload["predictions"] == clf.predict(task.test_x[:2]).tolist()
+        assert engine.live_workers == 2
+        assert server.admission.inflight == 0
+
+
 class TestKeepAlive:
     def test_connection_survives_mixed_outcomes(self, stack):
         """One keep-alive connection rides 200 / 400 / 504 / 200."""
@@ -287,25 +336,31 @@ class TestAbortingClient:
 
 
 class TestPredictCancellationUnit:
-    """Direct exercise of ``_predict``'s cancellation invariant."""
+    """``_predict``'s cancellation invariant, through the shared
+    ingress core (``gateway.serve_batch``) it hands the body to."""
 
     def _gateway(self):
         admission = SimpleNamespace(draining=False)
         admission.released = 0
-        admission.admit = lambda tenant: None
+        admission.admit_many = (
+            lambda tenant, count, reserved=False: [None] * count
+        )
 
-        def _release():
-            admission.released += 1
+        def _release(reserved=False, count=1):
+            admission.released += count
 
         admission.release = _release
-        engine = SimpleNamespace(tenants=("alpha",), callbacks=[])
+        engine = SimpleNamespace(
+            tenants=("alpha",), callbacks=[], max_queries_per_request=64
+        )
 
-        def _submit(request):
-            return SimpleNamespace(
-                add_done_callback=engine.callbacks.append
-            )
+        def _submit_many(requests, flush=True):
+            return [
+                SimpleNamespace(add_done_callback=engine.callbacks.append)
+                for _ in requests
+            ]
 
-        engine.submit = _submit
+        engine.submit_many = _submit_many
         return SimpleNamespace(admission=admission, engine=engine)
 
     def test_cancel_mid_waiter_releases_slot_exactly_once(self):

@@ -20,6 +20,7 @@ from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import ModelPublisher, RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
 from repro.serve import ServingEngine
+from serve_helpers import serve_all
 
 
 class RecordingPublisher:
@@ -112,7 +113,7 @@ class TestConcurrentBitIdentity:
         def traffic():
             nonlocal rounds
             while not stop.is_set():
-                engine.predict(eval_words)
+                serve_all(engine, eval_words)
                 rounds += 1
 
         thread = threading.Thread(target=traffic, daemon=True)
@@ -122,7 +123,7 @@ class TestConcurrentBitIdentity:
                 0.2, config=RecoveryConfig(), passes=2, seed=11,
                 publisher=engine.publisher,
             )
-            final_predictions = engine.predict(eval_words)
+            final_predictions = serve_all(engine, eval_words)
         finally:
             stop.set()
             thread.join()
@@ -147,12 +148,12 @@ class TestConcurrentBitIdentity:
         eval_words = experiment._eval_packed.words
         engine = ServingEngine(experiment.classifier, num_workers=1)
         try:
-            engine.predict(eval_words)  # generation 1 traffic
+            serve_all(engine, eval_words)  # generation 1 traffic
             model = experiment.model
             with model.writable() as hv:
                 hv[:, 0] ^= 1  # flip every class's first bit
             engine.publisher.publish(model)
-            served = engine.predict(eval_words)
+            served = serve_all(engine, eval_words)
             expected = np.argmin(model.packed().distances(eval_words), axis=1)
             assert (served == expected).all()
             assert engine.trace.last.generation == 2
@@ -167,12 +168,12 @@ class TestDegradedMode:
         engine = ServingEngine(experiment.classifier, num_workers=1,
                                stall_timeout=0.05)
         try:
-            engine.predict(eval_words)
+            serve_all(engine, eval_words)
             assert engine.trace.degraded_batches == 0
             # A writer registers (touch), then stalls past the threshold.
             engine.publisher.touch()
             time.sleep(0.2)
-            engine.predict(eval_words)
+            serve_all(engine, eval_words)
             last = engine.trace.last
             assert last.degraded
             assert last.staleness_s >= 0.05
@@ -188,7 +189,7 @@ class TestDegradedMode:
                                stall_timeout=0.05)
         try:
             time.sleep(0.2)  # far past the stall threshold, but no writer
-            engine.predict(eval_words)
+            serve_all(engine, eval_words)
             assert engine.trace.degraded_batches == 0
             assert engine.trace.last.staleness_s == 0.0
         finally:
@@ -205,7 +206,7 @@ class TestDegradedMode:
                 publisher=engine.publisher,
             )
             time.sleep(0.2)  # recovery done; its silence is not a stall
-            engine.predict(eval_words)
+            serve_all(engine, eval_words)
             assert engine.trace.last is not None
             assert not engine.trace.last.degraded
         finally:

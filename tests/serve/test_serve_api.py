@@ -1,12 +1,11 @@
-"""Unified submit API tests: ServeRequest/ServeFuture, shims, config.
+"""Unified submit API tests: ServeRequest/ServeFuture, config, surface.
 
-Pins the api_redesign satellites: the deprecated
-``submit(words)``/``submit_features``/``predict``/``predict_features``
-shims emit DeprecationWarning and stay bit-identical to the
-``ServeRequest`` path; ``ServeConfig`` is keyword-only and its
-validation errors name the offending field; ``repro.serve.__all__`` is
-the stable seven-name surface; and ``stop()`` is idempotent and safe
-under concurrent/atexit-style invocation.
+Pins ``submit(ServeRequest)`` as the one engine entry (the deadline
+rides on the request, never on ``submit``); ``ServeConfig`` is
+keyword-only and its validation errors name the offending field;
+``repro.serve.__all__`` is the stable seven-name surface; and
+``stop()`` is idempotent and safe under concurrent/atexit-style
+invocation.
 """
 
 import threading
@@ -97,49 +96,33 @@ class TestUnifiedSubmit:
         with pytest.raises(KeyError, match="unknown tenant"):
             engine.submit(ServeRequest(words, tenant="nope"))
 
+    def test_non_finite_features_rejected(self, fitted, engine):
+        task, clf = fitted
+        rows = task.test_x[:2].copy()
+        rows[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            engine.submit(ServeRequest(rows, features=True))
+        future = engine.submit(ServeRequest(task.test_x[:2], features=True))
+        np.testing.assert_array_equal(
+            future.result().predictions, clf.predict(task.test_x[:2])
+        )
+
+    @pytest.mark.parametrize(
+        "deadline", [0.0, -1.0, float("inf"), float("nan")]
+    )
+    def test_deadline_must_be_finite_and_positive(
+        self, fitted, engine, deadline
+    ):
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:2]).words
+        with pytest.raises(ValueError, match="deadline"):
+            engine.submit(ServeRequest(words, deadline=deadline))
+
     def test_deadline_belongs_on_request(self, fitted, engine):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:2]).words
-        with pytest.raises(TypeError, match="ServeRequest"):
+        with pytest.raises(TypeError, match="deadline"):
             engine.submit(ServeRequest(words), deadline=1.0)
-
-
-class TestDeprecatedShims:
-    """Old entry points warn and match the ServeRequest path exactly."""
-
-    def test_submit_words_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        words = clf.encoder.encode_packed(task.test_x[:6]).words
-        new = engine.submit(ServeRequest(words)).result().predictions
-        with pytest.warns(DeprecationWarning, match="submit"):
-            request_id = engine.submit(words)
-        assert isinstance(request_id, int)
-        old = engine.result(request_id).predictions
-        np.testing.assert_array_equal(old, new)
-
-    def test_submit_features_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        new = engine.submit(
-            ServeRequest(task.test_x[:6], features=True)
-        ).result().predictions
-        with pytest.warns(DeprecationWarning, match="submit_features"):
-            request_id = engine.submit_features(task.test_x[:6])
-        np.testing.assert_array_equal(
-            engine.result(request_id).predictions, new
-        )
-
-    def test_predict_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        words = clf.encoder.encode_packed(task.test_x).words
-        with pytest.warns(DeprecationWarning, match="predict"):
-            old = engine.predict(words)
-        np.testing.assert_array_equal(old, clf.predict(task.test_x))
-
-    def test_predict_features_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        with pytest.warns(DeprecationWarning, match="predict_features"):
-            old = engine.predict_features(task.test_x)
-        np.testing.assert_array_equal(old, clf.predict(task.test_x))
 
 
 class TestServeConfig:

@@ -25,11 +25,13 @@ from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.datasets.synthetic import make_prototype_classification
 from repro.serve import (
+    ServeRequest,
     ServingEngine,
     ShardPlan,
     combine_class_tables,
     reduce_partial_tables,
 )
+from serve_helpers import serve_all
 
 
 def shm_entries(prefix: str) -> list[str]:
@@ -162,7 +164,7 @@ class TestShardedServing:
             )
             prefix = engine.config.prefix
             try:
-                assert (engine.predict(words) == reference).all()
+                assert (serve_all(engine, words) == reference).all()
             finally:
                 engine.stop()
             assert shm_entries(prefix) == []
@@ -175,7 +177,7 @@ class TestShardedServing:
         plan = ShardPlan.by_class(clf.model.num_classes, 2)
         with ServingEngine(clf, num_workers=4, shard_plan=plan) as engine:
             for _ in range(3):
-                assert (engine.predict(words) == reference).all()
+                assert (serve_all(engine, words) == reference).all()
 
     def test_sharded_feature_requests(self, fitted):
         task, clf = fitted
@@ -186,7 +188,7 @@ class TestShardedServing:
             )
             try:
                 assert (
-                    engine.predict_features(task.test_x) == reference
+                    serve_all(engine, task.test_x, features=True) == reference
                 ).all()
             finally:
                 engine.stop()
@@ -210,8 +212,8 @@ class TestShardedServing:
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         plan = ShardPlan.by_class(clf.model.num_classes, 2)
         with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
-            engine.result(engine.submit(words))  # warm both workers
-            result = engine.result(engine.submit(words, deadline=1e-9))
+            engine.submit(ServeRequest(words)).result()  # warm both workers
+            result = engine.submit(ServeRequest(words, deadline=1e-9)).result()
         assert result.expired and result.predictions is None
 
     def test_sharded_trace_records_shard_and_wait(self, fitted):
@@ -219,7 +221,7 @@ class TestShardedServing:
         words = clf.encoder.encode_packed(task.test_x).words
         plan = ShardPlan.by_word(clf.encoder.dim, 2)
         with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
-            engine.predict(words)
+            serve_all(engine, words)
             events = list(engine.trace)
         shards_seen = {event.shard for event in events}
         assert shards_seen == {0, 1}
@@ -241,11 +243,11 @@ class TestShardedCrashRecovery:
         engine = ServingEngine(clf, num_workers=4, shard_plan=plan)
         prefix = engine.config.prefix
         try:
-            assert (engine.predict(words) == reference).all()
+            assert (serve_all(engine, words) == reference).all()
             # Kill one replica of shard 0 (workers 0 and 2 serve shard 0).
             os.kill(engine.workers[0].pid, signal.SIGKILL)
             time.sleep(0.05)
-            assert (engine.predict(words) == reference).all()
+            assert (serve_all(engine, words) == reference).all()
         finally:
             engine.stop()
         assert shm_entries(prefix) == []
@@ -257,10 +259,10 @@ class TestShardedCrashRecovery:
         engine = ServingEngine(clf, num_workers=2, shard_plan=plan,
                                ring_slots=16)
         try:
-            engine.result(engine.submit(words))  # warm-up round-trip
+            engine.submit(ServeRequest(words)).result()  # warm-up round-trip
             os.kill(engine.workers[1].pid, signal.SIGKILL)
             time.sleep(0.05)
-            result = engine.result(engine.submit(words), timeout=10.0)
+            result = engine.submit(ServeRequest(words)).result(timeout=10.0)
             assert result.expired and not result.ok
         finally:
             engine.stop()
@@ -321,7 +323,7 @@ class TestShardedLiveRecovery:
                 0.15, config=RecoveryConfig(), passes=1, seed=23,
                 publisher=engine.publisher,
             )
-            served = engine.predict(eval_words)
+            served = serve_all(engine, eval_words)
         finally:
             engine.stop()
         assert shm_entries(prefix) == []
@@ -356,7 +358,7 @@ class TestShardedPublisher:
             names = shm_entries(prefix)
             assert not any("-g1-" in e for e in names)  # retired set gone
             words = clf.encoder.encode_packed(task.test_x).words
-            served = engine.predict(words)
+            served = serve_all(engine, words)
             expected = np.argmin(
                 model.packed().distances(words), axis=1
             ).astype(np.int64)
