@@ -5,9 +5,11 @@ paper's deployment shape (D = 10,000, k = 12 — the HAR workload):
 
 * **predict** — batched 1-bit classification, packed Hamming search vs
   the float64 ``bipolar @ weights.T`` reference;
-* **detect** — noisy-chunk detection over a query batch, word-aligned
-  packed chunk sweep (and the float einsum fallback) vs the seed's
-  per-query float loop;
+* **detect** — noisy-chunk detection over a query batch, the packed
+  per-chunk sweep vs the seed's per-query float loop, at a word-aligned
+  geometry (D = 10,240, 512-bit chunks) and an unaligned one
+  (D = 10,000, 500-bit chunks).  Both must take the packed path: a
+  batch that falls back to the float einsum fails the run;
 * **recover** — the full online recovery step (confidence gate + chunk
   votes + probabilistic substitution) as a block-batched packed stream
   vs the seed's one-query-at-a-time float loop.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -44,6 +47,7 @@ from repro.core.encoder import Encoder
 from repro.core.model import HDCModel
 from repro.core.packed import float_backend
 from repro.core.recovery import RecoveryConfig, RobustHDRecovery
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
@@ -107,8 +111,14 @@ def bench_detect(dim: int, num_classes: int, num_chunks: int, batch: int,
     got = chunk_similarities_batch(model, queries, num_chunks)
     assert (got == ref).all(), "packed and float chunk similarities diverged"
     t_loop = _time(seed_loop, max(1, repeats // 2))
-    t_batch = _time(
-        lambda: chunk_similarities_batch(model, queries, num_chunks), repeats
+    with use_metrics(MetricsRegistry()) as registry:
+        t_batch = _time(
+            lambda: chunk_similarities_batch(model, queries, num_chunks),
+            repeats,
+        )
+    assert registry.counter("chunks.detect_batches_float") == 0, (
+        f"chunk detection at dim={dim}/m={num_chunks} fell back to the "
+        "float einsum"
     )
     chunk_size = dim // num_chunks
     return {
@@ -170,16 +180,16 @@ def run(quick: bool) -> dict:
         predict_kw = dict(dim=2_048, num_classes=6, batch=256, repeats=2)
         detect_kw = dict(dim=2_560, num_classes=6, num_chunks=20, batch=64,
                          repeats=2)
-        fallback_kw = dict(dim=2_000, num_classes=6, num_chunks=20, batch=64,
-                           repeats=2)
+        unaligned_kw = dict(dim=2_000, num_classes=6, num_chunks=20,
+                            batch=64, repeats=2)
         recover_kw = dict(dim=2_000, num_classes=6, num_chunks=20, stream=128,
                           repeats=1)
     else:
         predict_kw = dict(dim=10_000, num_classes=12, batch=2_048, repeats=5)
         detect_kw = dict(dim=10_240, num_classes=12, num_chunks=20,
                          batch=512, repeats=5)
-        fallback_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
-                           batch=512, repeats=3)
+        unaligned_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
+                            batch=512, repeats=3)
         recover_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
                           stream=1_024, repeats=3)
     return {
@@ -189,6 +199,7 @@ def run(quick: bool) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "hardware_popcount": hasattr(np, "bitwise_count"),
+        "cpus": len(os.sched_getaffinity(0)),
         "kernel_backend": kernels.active_backend().name,
         # Resolved encode block budget (field > REPRO_ENCODE_BLOCK_BYTES env
         # > default); shape-independent, reported for the perf trajectory.
@@ -196,7 +207,7 @@ def run(quick: bool) -> dict:
                                       levels=2, seed=0).block_bytes(),
         "predict": bench_predict(**predict_kw),
         "detect_word_aligned": bench_detect(**detect_kw),
-        "detect_einsum_fallback": bench_detect(**fallback_kw),
+        "detect_unaligned": bench_detect(**unaligned_kw),
         "recover_step": bench_recover(**recover_kw),
     }
 

@@ -12,25 +12,30 @@ it away from where the clean model would place it.
 Detection is purely a read-side computation; the repair itself lives in
 :mod:`repro.core.recovery`.
 
-Serving fast path: when the model is 1-bit and chunk boundaries fall on
-64-bit word boundaries (``d % 64 == 0``), per-chunk similarities run as
-word-wide XOR + popcount on the model's cached packed words — the chunk
-similarity is exactly ``d/2 - hamming`` per chunk, bit-identical to the
-float einsum (every term is a multiple of 0.5, summed exactly).  Odd
-geometries fall back to the float einsum transparently.
+Packed path: for a 1-bit model and binary (or already packed) queries,
+per-chunk similarities are Hamming distances.  Both operands are laid
+out by :func:`repro.core.packed.chunk_words` — every chunk starts on a
+64-bit word boundary and is zero-padded to ``ceil(d/64)`` words — and
+each chunk is one ``distance_table`` call of the active kernel backend
+(:mod:`repro.core.kernels`) on contiguous ``(b, w)`` / ``(k, w)``
+slices.  The similarity is ``d/2 - hamming``, bit-identical to the float
+einsum for every geometry with ``D % m == 0``: pad bits are zero in both
+operands, and every einsum term is ``±0.5``, summed exactly.  The einsum
+remains the :func:`~repro.core.packed.float_backend` reference and the
+path for multi-bit models or non-binary queries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.hypervector import as_chunks
 from repro.core.model import HDCModel, _centered_weights, _is_binary
 from repro.core.packed import (
     PackedHypervectors,
-    _pack_bits,
+    chunk_words,
     packed_backend_enabled,
-    packed_popcount,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -49,36 +54,37 @@ def _packed_chunk_similarities(
     queries: np.ndarray | PackedHypervectors,
     num_chunks: int,
 ) -> np.ndarray | None:
-    """Per-chunk similarities ``(b, m, k)`` via XOR+popcount, or None.
+    """Per-chunk similarities ``(b, m, k)`` via the Hamming kernel, or None.
 
-    Requires a 1-bit model, binary integer (or already packed) queries
-    and word-aligned chunks; returns None when any condition fails so
-    callers can fall back to the float einsum.  Packed queries reuse
-    their words directly — no repack.
+    Requires a 1-bit model and binary integer (or already packed)
+    queries; returns None otherwise so the caller takes the float
+    einsum.  ``D % m == 0`` is checked by the caller.
     """
     if model.bits != 1 or not packed_backend_enabled():
         return None
-    model_words = model.packed().chunk_words(num_chunks)  # (k, m, w)
-    if model_words is None:
-        return None
     if isinstance(queries, PackedHypervectors):
-        word_rows = queries.words
+        rows = queries.words
     elif _is_binary(queries):
-        word_rows = _pack_bits(queries.astype(np.uint8, copy=False))
+        rows = queries.astype(np.uint8, copy=False)
     else:
         return None
-    chunk_size = model.dim // num_chunks
-    query_words = word_rows.reshape(
-        word_rows.shape[0], num_chunks, -1
-    )  # (b, m, w)
-    k = model_words.shape[0]
-    sims = np.empty((word_rows.shape[0], num_chunks, k), dtype=np.float64)
-    for c in range(k):
-        distances = packed_popcount(
-            np.bitwise_xor(query_words, model_words[c])
-        )  # (b, m)
-        sims[:, :, c] = chunk_size / 2.0 - distances
-    return sims
+    # Chunk-major copies, so every per-chunk operand is contiguous.
+    query_words = np.ascontiguousarray(
+        chunk_words(rows, model.dim, num_chunks).transpose(1, 0, 2)
+    )  # (m, b, w)
+    model_words = np.ascontiguousarray(
+        model.packed().chunk_words(num_chunks).transpose(1, 0, 2)
+    )  # (m, k, w)
+    backend = kernels.active_backend()
+    hamming = np.empty(
+        (query_words.shape[1], num_chunks, model_words.shape[1]),
+        dtype=np.int64,
+    )
+    for j in range(num_chunks):
+        hamming[:, j, :] = backend.distance_table(
+            query_words[j], model_words[j]
+        )
+    return (model.dim // num_chunks) / 2.0 - hamming
 
 
 def chunk_similarities(
@@ -105,35 +111,21 @@ def chunk_similarities_batch(
 ) -> np.ndarray:
     """Per-chunk similarities for a query batch, shape ``(b, m, k)``.
 
-    The batched form of :func:`chunk_similarities`; one packed
-    XOR+popcount sweep (or one einsum on the fallback path) replaces a
-    Python loop over queries.  Accepts packed queries
-    (:class:`~repro.core.packed.PackedHypervectors`): word-aligned
-    geometries consume the words as-is; odd geometries unpack and take
-    the einsum, so results never depend on the input form.
+    The batched form of :func:`chunk_similarities`: one kernel call per
+    chunk on the packed path (or one einsum on the float path) replaces
+    a Python loop over queries.  Accepts packed queries
+    (:class:`~repro.core.packed.PackedHypervectors`); results never
+    depend on the input form.
     """
-    if isinstance(queries, PackedHypervectors):
-        if queries.dim != model.dim:
-            raise ValueError(
-                f"query dim {queries.dim} != model dim {model.dim}"
-            )
-        if model.dim % num_chunks != 0:
-            as_chunks(np.empty(model.dim, dtype=np.uint8), num_chunks)
-        metrics = _metrics()
-        fast = _packed_chunk_similarities(model, queries, num_chunks)
-        if fast is not None:
-            if metrics.enabled:
-                metrics.inc("chunks.detect_batches_packed")
-            return fast
-        queries = unpack(queries)
-    queries = np.atleast_2d(queries)
-    if queries.shape[1] != model.dim:
-        raise ValueError(
-            f"query dim {queries.shape[1]} != model dim {model.dim}"
-        )
+    packed_input = isinstance(queries, PackedHypervectors)
+    if not packed_input:
+        queries = np.atleast_2d(queries)
+    query_dim = queries.dim if packed_input else queries.shape[1]
+    if query_dim != model.dim:
+        raise ValueError(f"query dim {query_dim} != model dim {model.dim}")
     if model.dim % num_chunks != 0:
         # Delegate the error to as_chunks for a consistent message.
-        as_chunks(queries[0], num_chunks)
+        as_chunks(np.empty(model.dim, dtype=np.uint8), num_chunks)
     metrics = _metrics()
     fast = _packed_chunk_similarities(model, queries, num_chunks)
     if fast is not None:
@@ -142,6 +134,8 @@ def chunk_similarities_batch(
         return fast
     if metrics.enabled:
         metrics.inc("chunks.detect_batches_float")
+    if packed_input:
+        queries = unpack(queries)
     q_chunks = as_chunks(
         queries.astype(np.float64) * 2.0 - 1.0, num_chunks
     )  # (b, m, d)
@@ -237,8 +231,7 @@ def chunk_accuracy_profile(
     chunk should perform well above chance; after an attack the profile
     dips exactly at the chunks that absorbed flips, which is the signal
     the detector exploits.  Computed as one batched sweep over all
-    queries (packed XOR+popcount when the geometry allows, a single
-    einsum otherwise).
+    queries (see :func:`chunk_similarities_batch`).
     """
     labels = np.asarray(labels, dtype=np.int64)
     queries = np.atleast_2d(queries)

@@ -49,6 +49,7 @@ __all__ = [
     "pack",
     "unpack",
     "packed_bind",
+    "chunk_words",
     "packed_flip_bits",
     "packed_hamming_distance",
     "packed_popcount",
@@ -481,21 +482,57 @@ class PackedModel:
         return _distance_table(np.atleast_2d(query_words), self.words)
 
     def chunk_words(self, num_chunks: int) -> np.ndarray | None:
-        """Word view ``(k, m, d/64)`` for per-chunk XOR+popcount, or None.
+        """Class words in chunk layout ``(k, m, ceil(d/64))``, or None.
 
-        Chunk boundaries must fall on word boundaries — i.e.
-        ``dim % num_chunks == 0`` and the chunk size ``d = dim /
-        num_chunks`` must be a multiple of 64.  Callers fall back to the
-        float einsum when this returns None.
+        See :func:`chunk_words`: a zero-copy view when the chunk size
+        ``d = dim / num_chunks`` is a multiple of 64, a re-pack with each
+        chunk word-aligned and zero-padded otherwise.  None only when
+        ``dim % num_chunks != 0``.
         """
-        if num_chunks < 1 or self.dim % num_chunks:
-            return None
-        chunk_size = self.dim // num_chunks
-        if chunk_size % _WORD:
-            return None
-        return self.words.reshape(
-            self.words.shape[0], num_chunks, chunk_size // _WORD
-        )
+        return chunk_words(self.words, self.dim, num_chunks)
+
+
+def chunk_words(
+    rows: np.ndarray, dim: int, num_chunks: int
+) -> np.ndarray | None:
+    """Rows in chunk layout ``(n, m, ceil(d/64))`` uint64, or None.
+
+    ``rows`` is either packed words ``(n, ceil(dim/64))`` uint64 or
+    validated 0/1 bits ``(n, dim)`` uint8.  Chunk ``j`` of every row
+    starts on a word boundary and its pad bits up to the next boundary
+    are zero, so a per-chunk Hamming distance is one distance table on
+    the ``[:, j]`` slices.  When ``d = dim / num_chunks`` is a multiple
+    of 64 this is a zero-copy view of the packed words; otherwise each
+    output word is spliced from the two source words it straddles.
+    Returns None when ``dim % num_chunks != 0`` — the only geometry
+    without a chunk layout.
+    """
+    if num_chunks < 1 or dim % num_chunks:
+        return None
+    if rows.dtype != np.uint64:
+        rows = _pack_bits(rows)
+    n, chunk_size = rows.shape[0], dim // num_chunks
+    per_chunk = -(-chunk_size // _WORD)
+    if chunk_size % _WORD == 0:
+        return rows.reshape(n, num_chunks, per_chunk)
+    # Bit offset of every output word in the source row; a trailing zero
+    # word lets the last chunk read "the next word" without a bounds check.
+    start = (
+        np.arange(num_chunks)[:, None] * chunk_size
+        + np.arange(per_chunk)[None, :] * _WORD
+    ).ravel()
+    src = start // _WORD
+    shift = (start % _WORD).astype(np.uint64)
+    source = np.zeros((n, rows.shape[1] + 1), dtype=np.uint64)
+    source[:, :-1] = rows
+    # ``(x << 1) << (63 - s)`` is ``x << (64 - s)`` for s > 0 and 0 for
+    # s == 0, where a single shift by 64 would be undefined.
+    spliced = (source[:, src] >> shift) | (
+        (source[:, src + 1] << np.uint64(1)) << (np.uint64(63) - shift)
+    )
+    out = spliced.reshape(n, num_chunks, per_chunk)
+    out[:, :, -1] &= np.uint64((1 << (chunk_size % _WORD)) - 1)
+    return out
 
 
 def pack_model(class_hv: np.ndarray, version: int = 0) -> PackedModel:

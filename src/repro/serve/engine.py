@@ -270,46 +270,69 @@ class ServeRequest:
 class ServeFuture:
     """Handle to one in-flight :class:`ServeRequest`.
 
-    ``result()`` blocks for the terminal :class:`ServeResult` (and is
-    repeatable — the first call caches).  ``add_done_callback``
-    registers a ``fn(result)`` invoked exactly once when the request
-    resolves — possibly immediately, possibly from an engine collector
-    thread, so callbacks must be quick and non-blocking (the gateway
-    uses ``loop.call_soon_threadsafe``).
+    ``result()`` blocks for the terminal :class:`ServeResult` and is
+    repeatable.  ``add_done_callback`` registers a ``fn(result)``
+    invoked exactly once when the request resolves — possibly
+    immediately, possibly from an engine collector thread, so callbacks
+    must be quick and non-blocking (the gateway uses
+    ``loop.call_soon_threadsafe``).  The future holds its own
+    bookkeeping, so the engine forgets a request as soon as it resolves.
     """
 
-    __slots__ = ("_engine", "_result", "client_trace_id", "request_id",
+    __slots__ = ("_engine", "_pending", "client_trace_id", "request_id",
                  "tenant")
 
     def __init__(
         self,
         engine: "ServingEngine",
         request_id: int,
+        pending: "_Pending",
         *,
         tenant: str,
         client_trace_id: int | None = None,
     ) -> None:
         self._engine = engine
+        self._pending = pending
         self.request_id = request_id
         self.tenant = tenant
         self.client_trace_id = client_trace_id
-        self._result: ServeResult | None = None
 
     def done(self) -> bool:
-        if self._result is not None:
-            return True
-        pending = self._engine._pending.get(self.request_id)
-        return pending is not None and pending.result is not None
+        return self._pending.result is not None
 
     def result(self, timeout: float | None = 30.0) -> "ServeResult":
-        if self._result is None:
-            self._result = self._engine.result(
-                self.request_id, timeout=timeout
-            )
-        return self._result
+        """Wait for the request's terminal result."""
+        pending = self._pending
+        if pending.result is None:
+            # Resolvers set ``result`` under the lock, so after this
+            # block either the result is in or an event exists for the
+            # resolver to signal.
+            engine = self._engine
+            with engine._lock:
+                if pending.result is None and pending.event is None:
+                    pending.event = threading.Event()
+            if pending.result is None and not pending.event.wait(timeout):
+                raise TimeoutError(
+                    f"request {self.request_id} unresolved after {timeout}s"
+                    + (
+                        f" (worker errors: {engine._worker_errors})"
+                        if engine._worker_errors
+                        else ""
+                    )
+                )
+        return pending.result
 
     def add_done_callback(self, fn) -> None:
-        self._engine._add_done_callback(self.request_id, fn)
+        """Register ``fn(result)``; it fires now if already resolved."""
+        pending = self._pending
+        with self._engine._lock:
+            result = pending.result
+            if result is None:
+                if pending.callbacks is None:
+                    pending.callbacks = []
+                pending.callbacks.append(fn)
+        if result is not None:
+            fn(result)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "done" if self.done() else "pending"
@@ -336,7 +359,7 @@ class _Pending:
     """Client-side bookkeeping for one in-flight request.
 
     The wait event is allocated lazily, only when a caller blocks in
-    :meth:`ServingEngine.result` before the request resolves: the common
+    :meth:`ServeFuture.result` before the request resolves: the common
     windowed-client pattern finds results already resolved, and a
     ``threading.Event`` per submit is a measurable share of the
     per-request cost.  ``callbacks`` likewise starts None and is only
@@ -755,14 +778,14 @@ class ServingEngine:
                 self._next_trace_id += 1
                 flat = payload_words.reshape(-1)
                 self._ring.array[slot, : flat.shape[0]] = flat
-                self._pending[request_id] = _Pending(slot)
+                pending = self._pending[request_id] = _Pending(slot)
                 self._outbox.append(
                     (request_id, slot, payload_words.shape[0], deadline_ns,
                      kind, trace_id, tenant_idx)
                 )
                 n_queries_total += payload_words.shape[0]
                 futures.append(ServeFuture(
-                    self, request_id,
+                    self, request_id, pending,
                     tenant=self.config.tenants[tenant_idx].tenant_id,
                     client_trace_id=client_trace_id,
                 ))
@@ -850,9 +873,7 @@ class ServingEngine:
     def in_flight(self) -> int:
         """Requests submitted but not yet resolved (gateway queue depth)."""
         with self._lock:
-            return sum(
-                1 for p in self._pending.values() if p.result is None
-            )
+            return len(self._pending)
 
     def _dispatch(self, frame: list[tuple]) -> None:
         """Route one frame to its worker(s), recording the assignment.
@@ -930,12 +951,15 @@ class ServingEngine:
     ) -> bool:
         """Resolve one pending request (caller holds the lock).
 
-        Releases the ring slot, wakes blocked waiters and fires done
-        callbacks (which must be non-blocking — the gateway only hops
-        onto its event loop).  Returns False if already resolved.
+        Drops it from ``_pending`` (which therefore holds only unresolved
+        requests), releases the ring slot, wakes blocked waiters and
+        fires done callbacks (which must be non-blocking — the gateway
+        only hops onto its event loop).  Returns False if already
+        resolved.
         """
         if pending.result is not None:
             return False
+        self._pending.pop(request_id, None)
         pending.result = ServeResult(
             request_id=request_id, predictions=predictions, expired=expired
         )
@@ -962,54 +986,6 @@ class ServingEngine:
             self._resolve_locked(
                 request_id, pending, predictions=None, expired=True
             )
-
-    def _add_done_callback(self, request_id: int, fn) -> None:
-        """Register ``fn(result)`` on a request; fire now if resolved."""
-        result = None
-        with self._lock:
-            pending = self._pending.get(request_id)
-            if pending is None:
-                raise KeyError(
-                    f"unknown or already-collected request {request_id}"
-                )
-            if pending.result is not None:
-                result = pending.result
-            else:
-                if pending.callbacks is None:
-                    pending.callbacks = []
-                pending.callbacks.append(fn)
-        if result is not None:
-            fn(result)
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def result(self, request_id: int, timeout: float | None = 30.0) -> ServeResult:
-        """Wait for one request's terminal result."""
-        pending = self._pending.get(request_id)
-        if pending is None:
-            raise KeyError(f"unknown or already-collected request {request_id}")
-        if pending.result is None:
-            # Resolvers set ``result`` under the lock, so after this
-            # block either the result is in or an event exists for the
-            # resolver to signal.
-            with self._lock:
-                if pending.result is None and pending.event is None:
-                    pending.event = threading.Event()
-            if pending.result is None and not pending.event.wait(timeout):
-                raise TimeoutError(
-                    f"request {request_id} unresolved after {timeout}s"
-                    + (
-                        f" (worker errors: {self._worker_errors})"
-                        if self._worker_errors
-                        else ""
-                    )
-                )
-        with self._lock:
-            self._pending.pop(request_id, None)
-        assert pending.result is not None
-        return pending.result
 
     # ------------------------------------------------------------------
     # Collector
@@ -1042,7 +1018,7 @@ class ServingEngine:
                 self._depth[worker_id] -= len(outputs)
                 for request_id, predictions, expired in outputs:
                     pending = self._pending.get(request_id)
-                    if pending is None or pending.result is not None:
+                    if pending is None:
                         # Unknown, or already resolved (e.g. served twice
                         # because a crashed worker's batch was re-routed
                         # and the original result arrived late anyway).
@@ -1054,9 +1030,7 @@ class ServingEngine:
                     ):
                         expired_count += int(expired)
                 event_dict = dict(event_dict)
-                event_dict["queue_depth"] = sum(
-                    1 for p in self._pending.values() if p.result is None
-                )
+                event_dict["queue_depth"] = len(self._pending)
                 event = ServeBatchEvent.from_dict(event_dict)
                 self.trace.record(event)
             if metrics.enabled:
@@ -1094,9 +1068,7 @@ class ServingEngine:
                 if len(frame["partials"]) == len(self._replicas):
                     refire = self._combine_frame(frame_seq, frame, metrics)
             event_dict = dict(event_dict)
-            event_dict["queue_depth"] = sum(
-                1 for p in self._pending.values() if p.result is None
-            )
+            event_dict["queue_depth"] = len(self._pending)
             event = ServeBatchEvent.from_dict(event_dict)
             self.trace.record(event)
         for frame_seq, entries, worker in refire:
@@ -1371,7 +1343,7 @@ class ServingEngine:
             for request_id, entry in stale:
                 self._dispatched.pop(request_id, None)
                 pending = self._pending.get(request_id)
-                if pending is None or pending.result is not None:
+                if pending is None:
                     continue
                 if any_alive:
                     frame.append(entry)
@@ -1467,7 +1439,7 @@ class ServingEngine:
             # can't block forever on a request that will never be
             # answered.
             with self._lock:
-                for request_id, pending in self._pending.items():
+                for request_id, pending in list(self._pending.items()):
                     self._resolve_locked(
                         request_id, pending,
                         predictions=None, expired=True, release_slot=False,

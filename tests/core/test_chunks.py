@@ -12,8 +12,9 @@ from repro.core.chunks import (
 )
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend
+from repro.core.packed import float_backend, pack
 from repro.datasets.synthetic import make_prototype_classification
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +96,14 @@ class TestDetectFaultyChunks:
             detect_faulty_chunks(model, queries[0], 0, 10, margin=-0.1)
 
 
-class TestBatchedChunkOps:
-    """The batched sweeps must equal per-query loops on both backends."""
+GEOMETRIES = [(1280, 20), (1000, 10), (10_000, 20), (1280, 40), (999, 3)]
 
-    # dim=1280/m=20 exercises the word-aligned packed path; the fitted
-    # fixture (dim=1000/m=10) exercises the einsum fallback.
+
+class TestBatchedChunkOps:
+    """The batched sweeps must equal per-query float loops for every
+    chunk geometry, word-aligned (1280/20) or not, and for both input
+    forms."""
+
     @pytest.fixture(scope="class")
     def aligned(self):
         rng = np.random.default_rng(21)
@@ -107,22 +111,36 @@ class TestBatchedChunkOps:
         queries = rng.integers(0, 2, (16, 1280), dtype=np.uint8)
         return model, queries
 
-    def test_batch_equals_loop_aligned(self, aligned):
-        model, queries = aligned
-        batched = chunk_similarities_batch(model, queries, 20)
-        looped = np.stack(
-            [chunk_similarities(model, q, 20) for q in queries]
-        )
-        assert (batched == looped).all()
-
-    def test_batch_equals_loop_fallback(self, fitted):
-        model, queries, _ = fitted
-        batched = chunk_similarities_batch(model, queries[:16], 10)
+    @pytest.mark.parametrize("form", ["uint8", "packed"])
+    @pytest.mark.parametrize(
+        "dim, num_chunks", GEOMETRIES,
+        ids=[f"{dim}-{m}" for dim, m in GEOMETRIES],
+    )
+    def test_batch_equals_float_reference(self, dim, num_chunks, form):
+        rng = np.random.default_rng(dim + num_chunks)
+        model = HDCModel(rng.integers(0, 2, (5, dim), dtype=np.uint8))
+        queries = rng.integers(0, 2, (16, dim), dtype=np.uint8)
+        batch_input = pack(queries) if form == "packed" else queries
+        with use_metrics(MetricsRegistry()) as registry:
+            batched = chunk_similarities_batch(model, batch_input, num_chunks)
+        assert registry.counter("chunks.detect_batches_packed") == 1
+        assert registry.counter("chunks.detect_batches_float") == 0
         with float_backend():
             looped = np.stack(
-                [chunk_similarities(model, q, 10) for q in queries[:16]]
+                [chunk_similarities(model, q, num_chunks) for q in queries]
             )
+        assert batched.shape == (16, num_chunks, 5)
         assert (batched == looped).all()
+
+    def test_multibit_model_takes_float_path(self):
+        rng = np.random.default_rng(22)
+        model = HDCModel(rng.integers(0, 4, (3, 1000), dtype=np.uint8), bits=2)
+        queries = rng.integers(0, 2, (4, 1000), dtype=np.uint8)
+        with use_metrics(MetricsRegistry()) as registry:
+            sims = chunk_similarities_batch(model, queries, 10)
+        assert registry.counter("chunks.detect_batches_float") == 1
+        assert registry.counter("chunks.detect_batches_packed") == 0
+        assert np.allclose(sims.sum(axis=1), model.similarities(queries))
 
     def test_detect_batch_equals_loop(self, aligned):
         model, queries = aligned

@@ -258,11 +258,18 @@ class TestPackedModel:
 
     def test_chunk_words_alignment(self):
         rng = np.random.default_rng(13)
-        pm = pack_model(rng.integers(0, 2, (3, 1280), dtype=np.uint8))
-        aligned = pm.chunk_words(20)  # chunk size 64
-        assert aligned is not None and aligned.shape == (3, 20, 1)
+        class_hv = rng.integers(0, 2, (3, 1280), dtype=np.uint8)
+        pm = pack_model(class_hv)
+        aligned = pm.chunk_words(20)  # chunk size 64: a zero-copy view
+        assert aligned.shape == (3, 20, 1)
+        assert np.shares_memory(aligned, pm.words)
         assert pm.chunk_words(10).shape == (3, 10, 2)
-        assert pm.chunk_words(40) is None  # chunk size 32: not word-aligned
+        padded = pm.chunk_words(40)  # chunk size 32: one padded word each
+        assert padded.shape == (3, 40, 1)
+        for j in range(40):
+            chunk = class_hv[:, 32 * j : 32 * (j + 1)]
+            assert (padded[:, j] == pack(chunk).words).all()
+        assert (padded >> np.uint64(32) == 0).all()  # pad bits are zero
         assert pm.chunk_words(3) is None  # 1280 % 3 != 0
 
     def test_distances_match_reference(self):

@@ -18,6 +18,7 @@ from repro.core.recovery import (
 )
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,23 @@ def fitted():
         boundary_fraction=0.4, boundary_depth=(0.25, 0.45), seed=7,
     )
     encoder = Encoder(num_features=60, dim=2_000, seed=3)
+    clf = HDCClassifier(encoder, num_classes=5, epochs=0).fit(
+        task.train_x, task.train_y
+    )
+    encoded_test = encoder.encode_batch(task.test_x)
+    return clf.model, encoded_test, np.asarray(task.test_y)
+
+
+@pytest.fixture(scope="module")
+def fitted_10k():
+    """The benchmark's geometry: D=10,000 with the default 20 chunks, so
+    every chunk is 500 bits and no chunk starts on a word boundary."""
+    task = make_prototype_classification(
+        "toy10k", num_features=60, num_classes=5, num_train=300,
+        num_test=120, boundary_fraction=0.4, boundary_depth=(0.25, 0.45),
+        seed=8,
+    )
+    encoder = Encoder(num_features=60, dim=10_000, seed=4)
     clf = HDCClassifier(encoder, num_classes=5, epochs=0).fit(
         task.train_x, task.train_y
     )
@@ -193,6 +211,12 @@ class TestRecoverBlock:
     def test_block_size_order_equivalent(self, fitted):
         """Any block size gives the same predictions, model, and stats as
         the one-query-at-a-time stream (identical RNG draw order)."""
+        self._check_block_size_order(fitted)
+
+    def test_block_size_order_equivalent_benchmark_shape(self, fitted_10k):
+        self._check_block_size_order(fitted_10k)
+
+    def _check_block_size_order(self, fitted):
         attacked, queries = self._attacked(fitted)
         ref_model, ref_preds, ref_stats = self._run(attacked, queries[:60], 1)
         for block_size in (7, 60):
@@ -204,6 +228,14 @@ class TestRecoverBlock:
             assert stats.confidence_trace == ref_stats.confidence_trace
 
     def test_packed_and_float_backends_identical(self, fitted):
+        self._check_packed_and_float_identical(fitted)
+
+    def test_packed_and_float_backends_identical_benchmark_shape(
+        self, fitted_10k
+    ):
+        self._check_packed_and_float_identical(fitted_10k)
+
+    def _check_packed_and_float_identical(self, fitted):
         attacked, queries = self._attacked(fitted)
         packed_model, packed_preds, packed_stats = self._run(
             attacked, queries[:60], 16
@@ -215,6 +247,7 @@ class TestRecoverBlock:
         assert (packed_preds == float_preds).all()
         assert (packed_model.class_hv == float_model.class_hv).all()
         assert packed_stats.bits_substituted == float_stats.bits_substituted
+        assert packed_stats.bits_substituted > 0
 
     def test_recover_step_is_block_of_one(self, fitted):
         attacked, queries = self._attacked(fitted)
@@ -320,6 +353,17 @@ class TestPackedStreamIngest:
     """A packed query stream must drive recovery bit-identically."""
 
     def test_process_packed_equals_uint8(self, fitted):
+        self._check_process_packed_equals_uint8(fitted)
+
+    def test_process_packed_equals_uint8_benchmark_shape(self, fitted_10k):
+        # A zero margin makes the 10% attack trip the detector at 500-bit
+        # chunks, so the comparison covers substitutions too.
+        stats = self._check_process_packed_equals_uint8(
+            fitted_10k, RecoveryConfig(detection_margin=0.0)
+        )
+        assert stats.bits_substituted > 0
+
+    def _check_process_packed_equals_uint8(self, fitted, config=None):
         model, encoded_test, _ = fitted
         stream = encoded_test[:120]
         packed_stream = pack(stream)
@@ -327,8 +371,8 @@ class TestPackedStreamIngest:
         attacked_a, _ = attack(model.copy(), 0.08, "random", rng)
         attacked_b = attacked_a.copy()
 
-        rec_a = RobustHDRecovery(attacked_a, seed=9)
-        rec_b = RobustHDRecovery(attacked_b, seed=9)
+        rec_a = RobustHDRecovery(attacked_a, config, seed=9)
+        rec_b = RobustHDRecovery(attacked_b, config, seed=9)
         preds_a = rec_a.process(stream)
         preds_b = rec_b.process(packed_stream)
 
@@ -336,22 +380,53 @@ class TestPackedStreamIngest:
         assert (attacked_a.class_hv == attacked_b.class_hv).all()
         assert rec_a.stats.bits_substituted == rec_b.stats.bits_substituted
         assert rec_a.stats.queries_trusted == rec_b.stats.queries_trusted
+        return rec_a.stats
 
     def test_recover_block_packed_equals_uint8(self, fitted):
+        self._check_recover_block_packed_equals_uint8(fitted)
+
+    def test_recover_block_packed_equals_uint8_benchmark_shape(
+        self, fitted_10k
+    ):
+        stats = self._check_recover_block_packed_equals_uint8(
+            fitted_10k, RecoveryConfig(detection_margin=0.0)
+        )
+        assert stats.bits_substituted > 0
+
+    def _check_recover_block_packed_equals_uint8(
+        self, fitted, config=RecoveryConfig()
+    ):
         model, encoded_test, _ = fitted
         block = encoded_test[:60]
         rng = np.random.default_rng(1)
         attacked_a, _ = attack(model.copy(), 0.10, "random", rng)
         attacked_b = attacked_a.copy()
-        config = RecoveryConfig()
+        stats_a, stats_b = RecoveryStats(), RecoveryStats()
         preds_a = recover_block(
-            attacked_a, block, config, np.random.default_rng(4)
+            attacked_a, block, config, np.random.default_rng(4), stats_a
         )
         preds_b = recover_block(
-            attacked_b, pack(block), config, np.random.default_rng(4)
+            attacked_b, pack(block), config, np.random.default_rng(4),
+            stats_b,
         )
         assert (preds_a == preds_b).all()
         assert (attacked_a.class_hv == attacked_b.class_hv).all()
+        assert stats_a.bits_substituted == stats_b.bits_substituted
+        return stats_a
+
+    @pytest.mark.parametrize("form", ["uint8", "packed"])
+    def test_chunk_votes_never_take_float_path(self, fitted_10k, form):
+        """A 1-bit model's chunk detection stays on the packed kernel at
+        the benchmark shape, whatever form the stream arrives in."""
+        model, encoded_test, _ = fitted_10k
+        stream = encoded_test[:60]
+        attacked, _ = attack(model, 0.10, "random", np.random.default_rng(2))
+        rec = RobustHDRecovery(attacked, seed=5)
+        with use_metrics(MetricsRegistry()) as registry:
+            rec.process(pack(stream) if form == "packed" else stream)
+        assert rec.stats.queries_trusted > 0
+        assert registry.counter("chunks.detect_batches_packed") > 0
+        assert registry.counter("chunks.detect_batches_float") == 0
 
     def test_packed_dim_mismatch_rejected(self, fitted):
         model, _, _ = fitted

@@ -64,6 +64,22 @@ class TestServing:
         assert result.ok and not result.expired
         assert (result.predictions == clf.predict(task.test_x[:5])).all()
 
+    def test_resolved_requests_leave_pending(self, fitted):
+        """Resolution forgets a request; callbacks added late still fire."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:4]).words
+        with ServingEngine(clf, num_workers=1) as engine:
+            futures = engine.submit_many(
+                [ServeRequest(words[i : i + 1]) for i in range(4)]
+            )
+            results = [future.result() for future in futures]
+            assert engine._pending == {}
+            assert engine.in_flight == 0
+            seen = []
+            futures[0].add_done_callback(seen.append)
+            assert seen == [results[0]]
+            assert futures[0].done() and futures[0].result() is results[0]
+
     def test_trace_records_batches(self, fitted):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words

@@ -133,6 +133,19 @@ class TestGatewayServing:
                     clf.predict(task.test_x[:8]),
                 )
 
+    def test_served_requests_leave_engine_pending(self, stack):
+        """Gateway requests resolve through done callbacks; the engine
+        must not keep their bookkeeping once they are answered."""
+        server, engine = stack["server"], stack["engine"]
+        task, clf = stack["alpha"]
+        words = clf.encoder.encode_packed(task.test_x[:2]).words
+        with GatewayClient("127.0.0.1", server.port) as client:
+            for _ in range(50):
+                client.predict(words, tenant="alpha")
+            client.submit_batch([words, words], tenant="alpha")
+        assert len(engine._pending) == 0
+        assert engine.in_flight == 0
+
     def test_default_tenant_is_first(self, stack):
         server = stack["server"]
         task, clf = stack["alpha"]
