@@ -269,13 +269,13 @@ def run(smoke: bool) -> dict:
         telemetry_kw = dict(num_classes=12, num_features=32, dim=4_096,
                             levels=16, batch=1_024, rounds=8, repeats=3)
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "benchmarks/bench_obs.py"
         + (" --smoke" if smoke else ""),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "overhead_target": OVERHEAD_TARGET,
-        "predict_packed": bench_predict(**predict_kw),
+        "predict": bench_predict(**predict_kw),
         "recovery": bench_recovery(**recover_kw),
         "telemetry": bench_telemetry(**telemetry_kw),
     }
@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     if not args.smoke:
         worst = max(
-            results["predict_packed"]["metrics_overhead"],
+            results["predict"]["metrics_overhead"],
             results["recovery"]["metrics_overhead"],
         )
         if worst > OVERHEAD_TARGET:

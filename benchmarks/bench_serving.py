@@ -14,11 +14,15 @@ paper's deployment shape (D = 10,000, k = 12 — the HAR workload):
   votes + probabilistic substitution) as a block-batched packed stream
   vs the seed's one-query-at-a-time float loop.
 
-Both backends produce bit-identical predictions and identical seeded
-recovery outcomes (asserted here and property-tested in
-``tests/core``); the benchmark records throughput in queries/sec and the
-speedup ratio as JSON so future PRs have a perf trajectory to regress
-against.
+Each float leg is fed the same 0/1 bits as ``float64`` (built outside
+the timed region), which is what routes it to the float64 reference;
+every packed leg gets uint8 bits.  Every run asserts that each leg's
+batches were all counted on its own path, so the A/B cannot silently
+compare packed with packed.  Both paths produce bit-identical
+predictions and identical seeded recovery outcomes (asserted here and
+property-tested in ``tests/core``); the benchmark records throughput in
+queries/sec and the speedup ratio as JSON so future PRs have a perf
+trajectory to regress against.
 
 Usage::
 
@@ -45,7 +49,6 @@ from repro.core import kernels
 from repro.core.chunks import chunk_similarities, chunk_similarities_batch
 from repro.core.encoder import Encoder
 from repro.core.model import HDCModel
-from repro.core.packed import float_backend
 from repro.core.recovery import RecoveryConfig, RobustHDRecovery
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
@@ -66,6 +69,28 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+_BATCH_COUNTERS = ("model.similarity_batches", "chunks.detect_batches")
+
+
+def _on_path(path: str, fn):
+    """``fn()``, failing unless every batch it served took ``path``.
+
+    ``path`` is ``"packed"`` or ``"float"``; a batch counted on the other
+    path means the leg measured the wrong arithmetic.
+    """
+    other = "float" if path == "packed" else "packed"
+    with use_metrics(MetricsRegistry()) as registry:
+        out = fn()
+    served = sum(registry.counter(f"{c}_{path}") for c in _BATCH_COUNTERS)
+    strays = {
+        f"{c}_{other}": registry.counter(f"{c}_{other}")
+        for c in _BATCH_COUNTERS
+        if registry.counter(f"{c}_{other}")
+    }
+    assert served and not strays, f"{path} leg took the {other} path: {strays}"
+    return out
+
+
 def _make_workload(dim: int, num_classes: int, batch: int, noise: float,
                    seed: int = 0):
     """A random-prototype model and near-prototype queries."""
@@ -79,11 +104,11 @@ def _make_workload(dim: int, num_classes: int, batch: int, noise: float,
 
 def bench_predict(dim: int, num_classes: int, batch: int, repeats: int) -> dict:
     model, queries, _ = _make_workload(dim, num_classes, batch, noise=0.2)
-    with float_backend():
-        ref = model.predict(queries)
-        t_float = _time(lambda: model.predict(queries), repeats)
+    as_float = queries.astype(np.float64)
+    ref = _on_path("float", lambda: model.predict(as_float))
+    t_float = _time(lambda: model.predict(as_float), repeats)
     model.packed()  # warm the version-stamped cache, as a serving loop would
-    got = model.predict(queries)
+    got = _on_path("packed", lambda: model.predict(queries))
     assert (got == ref).all(), "packed and float predictions diverged"
     t_packed = _time(lambda: model.predict(queries), repeats)
     return {
@@ -100,26 +125,21 @@ def bench_detect(dim: int, num_classes: int, num_chunks: int, batch: int,
                  repeats: int) -> dict:
     model, queries, _ = _make_workload(dim, num_classes, batch, noise=0.2,
                                        seed=1)
+    as_float = queries.astype(np.float64)
 
     def seed_loop():
-        with float_backend():
-            return np.stack(
-                [chunk_similarities(model, q, num_chunks) for q in queries]
-            )
+        return np.stack(
+            [chunk_similarities(model, q, num_chunks) for q in as_float]
+        )
 
-    ref = seed_loop()
-    got = chunk_similarities_batch(model, queries, num_chunks)
+    def packed_batch():
+        return chunk_similarities_batch(model, queries, num_chunks)
+
+    ref = _on_path("float", seed_loop)
+    got = _on_path("packed", packed_batch)
     assert (got == ref).all(), "packed and float chunk similarities diverged"
     t_loop = _time(seed_loop, max(1, repeats // 2))
-    with use_metrics(MetricsRegistry()) as registry:
-        t_batch = _time(
-            lambda: chunk_similarities_batch(model, queries, num_chunks),
-            repeats,
-        )
-    assert registry.counter("chunks.detect_batches_float") == 0, (
-        f"chunk detection at dim={dim}/m={num_chunks} fell back to the "
-        "float einsum"
-    )
+    t_batch = _time(packed_batch, repeats)
     chunk_size = dim // num_chunks
     return {
         "dim": dim,
@@ -148,10 +168,11 @@ def bench_recover(dim: int, num_classes: int, num_chunks: int, stream: int,
         flip_hdc_bits(out, flips)
         return out
 
+    as_float = queries.astype(np.float64)
+
     def run_seed_loop():
         rec = RobustHDRecovery(corrupted(), config, seed=7, block_size=1)
-        with float_backend():
-            preds = rec.process(queries)
+        preds = rec.process(as_float)
         return preds, rec.model.class_hv
 
     def run_packed_blocks():
@@ -159,8 +180,8 @@ def bench_recover(dim: int, num_classes: int, num_chunks: int, stream: int,
         preds = rec.process(queries)
         return preds, rec.model.class_hv
 
-    ref_preds, ref_hv = run_seed_loop()
-    got_preds, got_hv = run_packed_blocks()
+    ref_preds, ref_hv = _on_path("float", run_seed_loop)
+    got_preds, got_hv = _on_path("packed", run_packed_blocks)
     assert (ref_preds == got_preds).all(), "recovery predictions diverged"
     assert (ref_hv == got_hv).all(), "recovered models diverged"
     t_seq = _time(run_seed_loop, max(1, repeats // 2))

@@ -26,13 +26,10 @@ from repro.core.model import HDCClassifier, HDCModel
 from repro.core.packed import (
     PackedHypervectors,
     PackedModel,
-    float_backend,
     pack,
     pack_model,
-    packed_backend_enabled,
     packed_flip_bits,
     packed_single_bit_flips,
-    set_packed_backend,
     unpack,
 )
 from repro.core.sequence import SequenceEncoder, ngram_encode
@@ -65,7 +62,6 @@ __all__ = [
     "clear_codebook_cache",
     "confident_mask",
     "encode_words_from_codebook",
-    "float_backend",
     "hamming_distance",
     "hamming_similarity",
     "level_hypervectors",
@@ -74,7 +70,6 @@ __all__ = [
     "normalized_hamming_similarity",
     "pack",
     "pack_model",
-    "packed_backend_enabled",
     "packed_flip_bits",
     "packed_single_bit_flips",
     "permute",
@@ -86,7 +81,6 @@ __all__ = [
     "recover_block",
     "recover_step",
     "save_classifier",
-    "set_packed_backend",
     "unpack",
     "softmax",
 ]

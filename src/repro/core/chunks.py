@@ -21,8 +21,8 @@ each chunk is one ``distance_table`` call of the active kernel backend
 slices.  The similarity is ``d/2 - hamming``, bit-identical to the float
 einsum for every geometry with ``D % m == 0``: pad bits are zero in both
 operands, and every einsum term is ``±0.5``, summed exactly.  The einsum
-remains the :func:`~repro.core.packed.float_backend` reference and the
-path for multi-bit models or non-binary queries.
+serves multi-bit models and non-binary queries, so the same 0/1 bits
+passed as ``float64`` reach it as the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.core.model import HDCModel, _centered_weights, _is_binary
 from repro.core.packed import (
     PackedHypervectors,
     chunk_words,
-    packed_backend_enabled,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -60,7 +59,7 @@ def _packed_chunk_similarities(
     queries; returns None otherwise so the caller takes the float
     einsum.  ``D % m == 0`` is checked by the caller.
     """
-    if model.bits != 1 or not packed_backend_enabled():
+    if model.bits != 1:
         return None
     if isinstance(queries, PackedHypervectors):
         rows = queries.words

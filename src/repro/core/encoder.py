@@ -20,11 +20,13 @@ of RobustHD's bit-flip robustness.
 
 Encoding backends
 -----------------
-Two bit-identical implementations serve :meth:`Encoder.encode_batch`:
+Two bit-identical implementations exist:
 
 * the **reference** path materialises the ``(block, n, D)`` uint8 bound
-  tensor and sums it (:meth:`Encoder.encode_batch_reference`);
-* the **packed** path precomputes the bound codebook
+  tensor and sums it (:meth:`Encoder.encode_batch_reference`, the
+  oracle the packed path is property-tested against);
+* the **packed** path, which serves :meth:`Encoder.encode_batch`,
+  precomputes the bound codebook
   ``bound[k, l] = base[k] ⊕ level[l]`` once per encoder — stored packed,
   ``(n, L, D/64)`` uint64, lazily built and version-stamped like
   :class:`~repro.core.packed.PackedModel` — and reduces the gathered
@@ -63,7 +65,6 @@ from repro.core.packed import (
     _pack_bits,
     bit_plane_ge,
     bit_plane_sum,
-    packed_backend_enabled,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -398,12 +399,9 @@ class Encoder:
 
         Encoding is deterministic (majority ties resolve to 0) so the same
         input always produces the same hypervector, at train and test time.
-        Dispatches to the packed bound-codebook engine unless the packed
-        backend is disabled (:func:`repro.core.packed.set_packed_backend`);
-        both backends are bit-identical (property-tested).
+        Runs the packed bound-codebook engine, bit-identical to
+        :meth:`encode_batch_reference` (property-tested).
         """
-        if not packed_backend_enabled():
-            return self.encode_batch_reference(features)
         idx = self._validated_indices(features)
         metrics = _metrics()
         with metrics.timer("encoder.encode_batch"):
@@ -447,8 +445,8 @@ class Encoder:
         """Reference encoding via the materialised uint8 bound tensor.
 
         Kept as the ground truth the packed engine is property-tested
-        against, and as the ``float_backend()`` A/B path.  Blocked by the
-        same :meth:`block_bytes` budget as the packed engine.
+        against.  Blocked by the same :meth:`block_bytes` budget as the
+        packed engine.
         """
         idx = self._validated_indices(features)
         metrics = _metrics()

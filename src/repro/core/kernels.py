@@ -13,26 +13,20 @@ substrates without the callers changing:
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
   on raw bits.  Slow, obviously correct, and the equivalence anchor the
   property tests pin every other backend against.
-* :class:`CupyBackend` / :class:`TorchBackend` — optional accelerator
-  backends behind the same contract.  ``available()`` reports whether
-  the import (and, for CuPy, a device) is present; tests skip cleanly
-  when it is not and assert bit-identity against the CPU path when it
-  is.  This is the real counterpart of the analytic
-  :class:`repro.pim.gpu.GPUModel` roofline —
-  :func:`roofline_validation` compares a backend's measured throughput
-  against that prediction.
-
 * :class:`NativeCpuBackend` — a fused XOR+popcount+accumulate C kernel
-  compiled on first use (cached per host) and the default wherever a C
-  compiler is present: one pass, no table-sized intermediates, GIL
-  released for the duration.
+  compiled on first use (cached per user in a private temp directory)
+  and the default wherever a C compiler is present: one pass, no
+  table-sized intermediates, GIL released for the duration.
+
+Every backend runs on the CPU.  :func:`roofline_validation` compares a
+backend's measured throughput against the analytic
+:class:`repro.pim.gpu.GPUModel` roofline.
 
 Backends are *stateless* over immutable inputs, so one instance is
-shared process-wide.  The active backend is resolved in this order:
-an explicit :func:`set_kernel_backend` call, the
-``REPRO_KERNEL_BACKEND`` environment variable, then ``"native"`` when
-the fused kernel compiled on this host, falling back to ``"numpy"``.
-Every distance computed through :meth:`PackedModel.distances
+shared process-wide.  The active backend is the one scoped by
+:func:`use_kernel_backend` if any, else ``"native"`` when the fused
+kernel compiled on this host, else ``"numpy"``.  Every distance computed
+through :meth:`PackedModel.distances
 <repro.core.packed.PackedModel.distances>` and
 :meth:`PackedHypervectors.hamming_to
 <repro.core.packed.PackedHypervectors.hamming_to>` dispatches through
@@ -50,6 +44,7 @@ tier's reduce tree sum them back into full distances bit-identically
 from __future__ import annotations
 
 import os
+import stat
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -61,12 +56,9 @@ __all__ = [
     "NumpyPackedBackend",
     "ReferenceBackend",
     "NativeCpuBackend",
-    "CupyBackend",
-    "TorchBackend",
     "active_backend",
     "available_backends",
     "get_backend",
-    "set_kernel_backend",
     "use_kernel_backend",
     "roofline_validation",
 ]
@@ -233,8 +225,9 @@ def _build_native_kernel():
     The shared object is cached under the user's temp directory keyed by
     a hash of the source, so the compile happens once per host, not once
     per process — forked serving workers inherit the parent's loaded
-    library.  Raises on any failure; :class:`NativeCpuBackend` turns
-    that into ``available() == False``.
+    library.  The cache directory must be a real directory owned by this
+    user with no group/world write bit.  Raises on any failure;
+    :class:`NativeCpuBackend` turns that into ``available() == False``.
     """
     import ctypes
     import hashlib
@@ -251,6 +244,16 @@ def _build_native_kernel():
     ).hexdigest()[:16]
     cache = Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}"
     cache.mkdir(mode=0o700, exist_ok=True)
+    # The temp dir is shared: a cache directory another user planted (or
+    # one anyone can write to) could hand us their library.  Refuse it.
+    info = os.lstat(cache)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise RuntimeError(f"refusing kernel cache {cache}: not a private "
+                           "directory owned by this user")
     so_path = cache / f"hamming-{tag}.so"
     if not so_path.exists():
         src = cache / f"hamming-{tag}.c"
@@ -324,127 +327,10 @@ class NativeCpuBackend(KernelBackend):
         return out
 
 
-class CupyBackend(KernelBackend):
-    """CuPy XOR + ``__popcll`` on a CUDA device, row-blocked.
-
-    Only ``available()`` when CuPy imports *and* a device answers.  The
-    result is copied back as a host ``int64`` table, bit-identical to
-    the CPU path (integer ops throughout; no floating point anywhere).
-    """
-
-    name = "cupy"
-    _popc = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import cupy
-
-            return int(cupy.cuda.runtime.getDeviceCount()) > 0
-        except Exception:
-            return False
-
-    def _kernel(self):
-        import cupy
-
-        if CupyBackend._popc is None:
-            CupyBackend._popc = cupy.ElementwiseKernel(
-                "uint64 x", "uint64 y", "y = __popcll(x)", "repro_popc64"
-            )
-        return CupyBackend._popc
-
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
-    ) -> np.ndarray:
-        import cupy
-
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
-        popc = self._kernel()
-        d_model = cupy.asarray(model)
-        b = queries.shape[0]
-        out = np.empty((b, model.shape[0]), dtype=np.int64)
-        rows = min(_ROW_BLOCK, b)
-        for lo in range(0, b, rows):
-            d_block = cupy.asarray(queries[lo : lo + rows])
-            xor = cupy.bitwise_xor(d_block[:, None, :], d_model[None, :, :])
-            table = popc(xor).sum(axis=-1, dtype=cupy.int64)
-            out[lo : lo + d_block.shape[0]] = cupy.asnumpy(table)
-        return out
-
-
-class TorchBackend(KernelBackend):
-    """Torch XOR + byte-LUT popcount, on CUDA when present else CPU.
-
-    Torch has no uint64 dtype; words are reinterpreted as int64 (XOR is
-    bit-pattern-identical) and popcounts resolved through a 256-entry
-    byte lookup table — integer ops end to end, so the table is
-    bit-identical to the CPU path on either device.
-    """
-
-    name = "torch"
-    _pop8 = {}
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import torch  # noqa: F401
-
-            return True
-        except Exception:
-            return False
-
-    def __init__(self, device: str | None = None) -> None:
-        if device is None and self.available():
-            import torch
-
-            device = "cuda" if torch.cuda.is_available() else "cpu"
-        self.device = device or "cpu"
-
-    def _lut(self):
-        import torch
-
-        lut = TorchBackend._pop8.get(self.device)
-        if lut is None:
-            lut = torch.tensor(
-                [bin(i).count("1") for i in range(256)],
-                dtype=torch.int64, device=self.device,
-            )
-            TorchBackend._pop8[self.device] = lut
-        return lut
-
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
-    ) -> np.ndarray:
-        import torch
-
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
-        lut = self._lut()
-        t_model = torch.from_numpy(model.view(np.int64)).to(self.device)
-        b = queries.shape[0]
-        out = np.empty((b, model.shape[0]), dtype=np.int64)
-        rows = min(_ROW_BLOCK, b)
-        for lo in range(0, b, rows):
-            block = queries[lo : lo + rows]
-            t_block = torch.from_numpy(block.view(np.int64)).to(self.device)
-            xor = torch.bitwise_xor(
-                t_block[:, None, :], t_model[None, :, :]
-            )
-            as_bytes = xor.view(torch.uint8).reshape(*xor.shape[:2], -1)
-            table = lut[as_bytes.long()].sum(dim=-1)
-            out[lo : lo + block.shape[0]] = table.cpu().numpy()
-        return out
-
-
 _BACKEND_CLASSES: dict[str, type[KernelBackend]] = {
     NumpyPackedBackend.name: NumpyPackedBackend,
     ReferenceBackend.name: ReferenceBackend,
     NativeCpuBackend.name: NativeCpuBackend,
-    CupyBackend.name: CupyBackend,
-    TorchBackend.name: TorchBackend,
 }
 _INSTANCES: dict[str, KernelBackend] = {}
 _ACTIVE: KernelBackend | None = None
@@ -475,73 +361,37 @@ def get_backend(name: str) -> KernelBackend:
     return instance
 
 
-def set_kernel_backend(backend: KernelBackend | str | None) -> None:
-    """Select the process-wide active backend.
-
-    Accepts a registered name, a :class:`KernelBackend` instance, or
-    ``None`` to fall back to the default resolution
-    (``REPRO_KERNEL_BACKEND`` env var, then ``"native"`` where it
-    compiled, then ``"numpy"``).
-    """
-    global _ACTIVE
-    if backend is None:
-        _ACTIVE = None
-    elif isinstance(backend, str):
-        _ACTIVE = get_backend(backend)
-    elif isinstance(backend, KernelBackend):
-        _ACTIVE = backend
-    else:
-        raise TypeError(
-            f"expected backend name, instance, or None, got {type(backend)}"
-        )
-
-
-def _default_backend_name() -> str:
-    """Default resolution when nothing is selected explicitly.
-
-    The fused native CPU kernel when it compiled on this host, else the
-    NumPy path.
-    """
-    if NativeCpuBackend.available():
-        return "native"
-    return "numpy"
-
-
 def active_backend() -> KernelBackend:
-    """The backend every packed distance call dispatches through."""
+    """The backend every packed distance call dispatches through.
+
+    The one scoped by :func:`use_kernel_backend` if any, else
+    ``"native"`` when the fused kernel compiled on this host, else
+    ``"numpy"``.
+    """
     if _ACTIVE is not None:
         return _ACTIVE
-    return get_backend(
-        os.environ.get("REPRO_KERNEL_BACKEND") or _default_backend_name()
-    )
+    return get_backend("native" if NativeCpuBackend.available() else "numpy")
 
 
 @contextmanager
 def use_kernel_backend(backend: KernelBackend | str) -> Iterator[KernelBackend]:
-    """Temporarily activate a backend (restores the previous selection)."""
+    """Activate a backend (a registered name or an instance) for a scope.
+
+    The previous selection is restored on exit.  This is the hook tests
+    use to pin a backend or swap in a fake.
+    """
     global _ACTIVE
-    previous = _ACTIVE
-    set_kernel_backend(backend)
+    if isinstance(backend, str):
+        backend = get_backend(backend)
+    elif not isinstance(backend, KernelBackend):
+        raise TypeError(
+            f"expected a backend name or instance, got {type(backend)}"
+        )
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield active_backend()
+        yield backend
     finally:
         _ACTIVE = previous
-
-
-def best_accelerator_backend() -> KernelBackend | None:
-    """The preferred available accelerator backend, or ``None``.
-
-    CuPy outranks torch (a CUDA CuPy is always device-resident; torch
-    may be a CPU build, which still satisfies the contract but models
-    nothing the numpy backend doesn't).
-    """
-    if CupyBackend.available():
-        return get_backend("cupy")
-    if TorchBackend.available():
-        backend = get_backend("torch")
-        if getattr(backend, "device", "cpu") != "cpu":
-            return backend
-    return None
 
 
 def roofline_validation(
@@ -572,7 +422,7 @@ def roofline_validation(
     words = -(-dim // 64)
     model = rng.integers(0, 1 << 63, (num_classes, words), dtype=np.uint64)
     queries = rng.integers(0, 1 << 63, (batch, words), dtype=np.uint64)
-    backend.distance_table(queries[:8], model)  # warm-up / JIT / transfer
+    backend.distance_table(queries[:8], model)  # warm-up
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
@@ -582,7 +432,6 @@ def roofline_validation(
     predicted_qps = gpu_model.packed_classify_qps(dim, num_classes)
     return {
         "backend": backend.name,
-        "device": getattr(backend, "device", None),
         "dim": dim,
         "num_classes": num_classes,
         "batch": batch,

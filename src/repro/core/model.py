@@ -37,7 +37,6 @@ from repro.core.packed import (
     PackedHypervectors,
     PackedModel,
     _pack_bits,
-    packed_backend_enabled,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -100,9 +99,9 @@ def _is_binary(queries: np.ndarray) -> bool:
     """Whether an array is exactly 0/1-valued with an integer/bool dtype.
 
     Gate for packed dispatch: float queries (even float 0.0/1.0) keep the
-    float64 reference path so behaviour for unconventional inputs is
-    unchanged.  Uses min/max reductions rather than elementwise masks —
-    this check sits on the serving hot path.
+    float64 reference path, which makes ``float64`` input the way to
+    reach the oracle.  Uses min/max reductions rather than elementwise
+    masks — this check sits on the serving hot path.
     """
     if queries.dtype == np.bool_:
         return True
@@ -273,15 +272,17 @@ class HDCModel:
         (:class:`~repro.core.packed.PackedHypervectors`, e.g. from
         :meth:`Encoder.encode_packed`): a 1-bit model consumes the words
         directly — no pack *or* unpack on the serving path; other
-        precisions (or a disabled packed backend) unpack and fall through
-        to the reference, so results never depend on the input form.
+        precisions unpack and fall through to the reference, so results
+        never depend on the input form.  Float input (even 0.0/1.0)
+        always takes the float64 reference: that is how tests and
+        benchmarks reach the oracle.
         """
         if isinstance(queries, PackedHypervectors):
             if queries.dim != self.dim:
                 raise ValueError(
                     f"query dim {queries.dim} != model dim {self.dim}"
                 )
-            if self.bits == 1 and packed_backend_enabled():
+            if self.bits == 1:
                 metrics = _metrics()
                 if metrics.enabled:
                     metrics.inc("model.similarity_batches_packed")
@@ -294,7 +295,7 @@ class HDCModel:
                 f"query dim {queries.shape[1]} != model dim {self.dim}"
             )
         metrics = _metrics()
-        if self.bits == 1 and packed_backend_enabled() and _is_binary(queries):
+        if self.bits == 1 and _is_binary(queries):
             if metrics.enabled:
                 metrics.inc("model.similarity_batches_packed")
                 metrics.inc("model.queries_served", queries.shape[0])
@@ -318,32 +319,6 @@ class HDCModel:
         :meth:`similarities`); labels are identical either way.
         """
         return np.argmax(self.similarities(queries), axis=1)
-
-    def predict_packed(self, queries: np.ndarray) -> np.ndarray:
-        """Fast-path prediction via the bit-packed backend (1-bit only).
-
-        Classifies by minimum packed Hamming distance — identical labels
-        to :meth:`predict` (including argmax tie order).  The model-side
-        words come from the version-stamped :meth:`packed` cache, so
-        repeated calls pack the model once and only the queries per call.
-        """
-        if self.bits != 1:
-            raise ValueError("predict_packed requires a 1-bit model")
-        queries = np.atleast_2d(queries)
-        if queries.shape[1] != self.dim:
-            raise ValueError(
-                f"query dim {queries.shape[1]} != model dim {self.dim}"
-            )
-        if ((queries != 0) & (queries != 1)).any():
-            raise ValueError("queries must be binary (0/1)")
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("model.similarity_batches_packed")
-            metrics.inc("model.queries_served", queries.shape[0])
-        distances = self.packed().distances(
-            _pack_bits(queries.astype(np.uint8, copy=False))
-        )
-        return np.argmin(distances, axis=1)
 
 
 class HDCClassifier:
@@ -559,15 +534,13 @@ class HDCClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict labels for raw features ``(n_samples, n_features)``.
 
-        For a deployed 1-bit model the features are encoded straight into
-        packed words (:meth:`Encoder.encode_packed`) and served by
-        XOR+popcount — the query never exists in unpacked form.
+        The features are encoded straight into packed words
+        (:meth:`Encoder.encode_packed`); a deployed 1-bit model serves
+        them by XOR+popcount, so the query never exists in unpacked form,
+        and a multi-bit model unpacks them for the float path.
         """
-        model = self._require_model()
-        features = np.atleast_2d(features)
-        if model.bits == 1 and packed_backend_enabled():
-            return model.predict(self.encoder.encode_packed(features))
-        return model.predict(self.encoder.encode_batch(features))
+        packed = self.encoder.encode_packed(np.atleast_2d(features))
+        return self._require_model().predict(packed)
 
     def score(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on raw features."""

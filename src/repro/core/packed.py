@@ -27,17 +27,17 @@ holds everywhere.
 Population counts use ``np.bitwise_count`` (NumPy >= 2, the declared
 floor).
 
-The backend can be disabled globally — e.g. to A/B the float reference
-against the packed engine in tests or benchmarks — via
-:func:`set_packed_backend` or the :func:`float_backend` context manager.
+No switch chooses between the paths; ``model.bits`` and the input form
+do.  A 1-bit model serves binary integer (or already packed) input
+here, and the float64 reference serves multi-bit models and non-binary
+input.  Tests and benchmarks reach that reference by passing the same
+0/1 bits as ``float64``.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -55,42 +55,10 @@ __all__ = [
     "packed_popcount",
     "packed_single_bit_flips",
     "pack_model",
-    "packed_backend_enabled",
-    "set_packed_backend",
-    "float_backend",
 ]
 
 _WORD = 64
 _BIG_ENDIAN = sys.byteorder == "big"
-
-# Global backend switch.  True routes every 1-bit hot path (model
-# similarities, chunk detection) through the packed engine; False forces
-# the float64 reference everywhere.  Results are bit-identical either
-# way — the switch exists for benchmarking and equivalence testing.
-_PACKED_ENABLED = True
-
-
-def packed_backend_enabled() -> bool:
-    """Whether 1-bit hot paths dispatch to the packed engine."""
-    return _PACKED_ENABLED
-
-
-def set_packed_backend(enabled: bool) -> None:
-    """Globally enable/disable packed dispatch (float reference otherwise)."""
-    global _PACKED_ENABLED
-    _PACKED_ENABLED = bool(enabled)
-
-
-@contextmanager
-def float_backend() -> Iterator[None]:
-    """Temporarily force the float64 reference path on all hot paths."""
-    previous = _PACKED_ENABLED
-    set_packed_backend(False)
-    try:
-        yield
-    finally:
-        set_packed_backend(previous)
-
 
 def _pack_bits(batch: np.ndarray) -> np.ndarray:
     """Pack a validated 0/1 ``(b, D)`` batch into ``(b, W)`` uint64 words.
@@ -405,10 +373,9 @@ def _distance_table(queries: np.ndarray, model: np.ndarray) -> np.ndarray:
     """Hamming distances ``(b, k)`` of query words vs model words.
 
     Dispatches to the active :mod:`repro.core.kernels` backend (the
-    row-blocked XOR+popcount CPU kernel by default; see
-    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND`` for the
-    accelerator paths).  The import is deferred because ``kernels``
-    imports this module at load time.
+    fused native kernel where it compiled, else the row-blocked
+    XOR+popcount NumPy kernel).  The import is deferred because
+    ``kernels`` imports this module at load time.
     """
     from repro.core import kernels
 

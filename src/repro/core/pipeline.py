@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import pack, packed_backend_enabled, unpack
+from repro.core.packed import unpack
 from repro.core.recovery import (
     ModelPublisher,
     RecoveryConfig,
@@ -117,17 +117,12 @@ class RecoveryExperiment:
 
         # The test split is encoded straight into packed words; the public
         # uint8 views (stream_queries / eval_queries) are unpacked from
-        # them once for compatibility and for the float A/B path, while
-        # scoring and the recovery stream consume the packed words with no
-        # further pack/unpack (when the packed backend is enabled the
-        # queries cross encode → predict → recover without ever being
-        # repacked).  Both forms are bit-identical by construction.
-        if packed_backend_enabled():
-            packed_test = self.encoder.encode_packed(dataset.test_x)
-            encoded_test = unpack(packed_test)
-        else:
-            encoded_test = self.encoder.encode_batch(dataset.test_x)
-            packed_test = pack(encoded_test)
+        # them once, while scoring and the recovery stream consume the
+        # packed words, so the queries cross encode → predict → recover
+        # without ever being repacked.  Both forms are bit-identical by
+        # construction.
+        packed_test = self.encoder.encode_packed(dataset.test_x)
+        encoded_test = unpack(packed_test)
         split = int(round(dataset.num_test * stream_fraction))
         split = min(max(split, 1), dataset.num_test - 1)
         self.stream_queries = encoded_test[:split]
@@ -144,12 +139,9 @@ class RecoveryExperiment:
         return model
 
     def _score(self, model: HDCModel) -> float:
-        queries = (
-            self._eval_packed
-            if packed_backend_enabled()
-            else self.eval_queries
+        return float(
+            np.mean(model.predict(self._eval_packed) == self.eval_labels)
         )
-        return float(np.mean(model.predict(queries) == self.eval_labels))
 
     def score(self, model: HDCModel) -> float:
         """Accuracy of ``model`` on the held-out evaluation split.
@@ -195,8 +187,7 @@ class RecoveryExperiment:
         to ``config.block_size``, mirroring
         :class:`~repro.core.recovery.RobustHDRecovery`.  Results are
         identical to the query-at-a-time loop for any block size, and
-        identical between the packed and float serving backends (see
-        ``repro.core.packed``).
+        identical to the float64 reference (see ``repro.core.packed``).
 
         The returned outcome carries the injected
         :class:`~repro.faults.api.FaultMask`, the structured
@@ -229,12 +220,7 @@ class RecoveryExperiment:
                     order = order_rng.permutation(
                         self.stream_queries.shape[0]
                     )
-                    stream = (
-                        self._stream_packed[order]
-                        if packed_backend_enabled()
-                        else self.stream_queries[order]
-                    )
-                    recovery.process(stream)
+                    recovery.process(self._stream_packed[order])
                     accuracy_trace.append(self._score(attacked))
             finally:
                 # The recovery writer is done (or dead): deregister it so

@@ -12,7 +12,7 @@ from repro.core.chunks import (
 )
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack
 from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
@@ -125,10 +125,12 @@ class TestBatchedChunkOps:
             batched = chunk_similarities_batch(model, batch_input, num_chunks)
         assert registry.counter("chunks.detect_batches_packed") == 1
         assert registry.counter("chunks.detect_batches_float") == 0
-        with float_backend():
-            looped = np.stack(
-                [chunk_similarities(model, q, num_chunks) for q in queries]
-            )
+        with use_metrics(MetricsRegistry()) as registry:
+            looped = np.stack([
+                chunk_similarities(model, q, num_chunks)
+                for q in queries.astype(np.float64)
+            ])
+        assert registry.counter("chunks.detect_batches_float") == 16
         assert batched.shape == (16, num_chunks, 5)
         assert (batched == looped).all()
 

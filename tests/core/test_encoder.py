@@ -11,7 +11,7 @@ from repro.core.encoder import (
     quantize_features,
 )
 from repro.core.hypervector import hamming_distance
-from repro.core.packed import PackedHypervectors, float_backend, unpack
+from repro.core.packed import PackedHypervectors, unpack
 
 
 class TestQuantizeFeatures:
@@ -191,14 +191,6 @@ class TestPackedEncodingEquivalence:
         packed = enc.encode_packed(batch)
         assert packed.dim == enc.dim
         assert (unpack(packed) == enc.encode_batch_reference(batch)).all()
-
-    @given(encoder_and_batch())
-    @settings(deadline=None)
-    def test_float_backend_matches(self, case):
-        enc, batch = case
-        fast = enc.encode_batch(batch)
-        with float_backend():
-            assert (enc.encode_batch(batch) == fast).all()
 
     def test_single_feature_majority(self):
         """n=1: the bundle of one bound vector is that vector."""

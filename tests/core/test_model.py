@@ -12,7 +12,7 @@ from repro.core.model import (
     _perceptron_epoch_reference,
     quantize_accumulator,
 )
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack, unpack
 from repro.datasets.synthetic import make_prototype_classification
 
 
@@ -100,18 +100,15 @@ class TestHDCModel:
         with pytest.raises(ValueError, match="dim"):
             m.predict(np.zeros((1, 9), dtype=np.uint8))
 
-    def test_predict_packed_matches_predict(self):
+    def test_predict_matches_float_reference(self):
         rng = np.random.default_rng(6)
         m = HDCModel(
             class_hv=rng.integers(0, 2, (5, 300), dtype=np.uint8), bits=1
         )
         queries = rng.integers(0, 2, (40, 300), dtype=np.uint8)
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
-
-    def test_predict_packed_rejects_multibit(self):
-        m = HDCModel(class_hv=np.zeros((2, 64), dtype=np.uint8), bits=2)
-        with pytest.raises(ValueError, match="1-bit"):
-            m.predict_packed(np.zeros((1, 64), dtype=np.uint8))
+        want = m.predict(queries.astype(np.float64))
+        assert (m.predict(queries) == want).all()
+        assert (m.predict(pack(queries)) == want).all()
 
 
 class TestPackedModelCache:
@@ -121,7 +118,7 @@ class TestPackedModelCache:
         queries = rng.integers(0, 2, (12, 300), dtype=np.uint8)
         return m, queries
 
-    def test_predict_packed_packs_model_once(self, monkeypatch):
+    def test_predict_packs_model_once(self, monkeypatch):
         """Two consecutive calls must reuse one packed snapshot."""
         import repro.core.model as model_mod
 
@@ -134,8 +131,8 @@ class TestPackedModelCache:
             return real(batch)
 
         monkeypatch.setattr(model_mod, "_pack_bits", counting_pack)
-        m.predict_packed(queries)
-        m.predict_packed(queries)
+        m.predict(queries)
+        m.predict(queries)
         model_packs = [s for s in packed_shapes if s == m.class_hv.shape]
         assert len(model_packs) == 1
 
@@ -149,7 +146,8 @@ class TestPackedModelCache:
         assert after is not before
         assert after.version > before.version
         # The refreshed snapshot serves the mutated bits.
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
+        want = m.predict(queries.astype(np.float64))
+        assert (m.predict(queries) == want).all()
 
     def test_bump_version_is_explicit_contract(self):
         m, _ = self._model_and_queries()
@@ -165,8 +163,9 @@ class TestPackedModelCache:
         c = m.copy()
         with c.writable() as hv:
             hv[:, :10] ^= 1
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
-        assert (c.predict_packed(queries) == c.predict(queries)).all()
+        as_float = queries.astype(np.float64)
+        assert (m.predict(queries) == m.predict(as_float)).all()
+        assert (c.predict(queries) == c.predict(as_float)).all()
 
     def test_packed_rejects_multibit(self):
         m = HDCModel(class_hv=np.zeros((2, 64), dtype=np.uint8), bits=2)
@@ -393,11 +392,10 @@ class TestPackedQueryIngest:
             fitted.model.predict(packed) == fitted.model.predict(encoded)
         ).all()
 
-    def test_float_backend_unpacks(self, task, encoder, fitted):
+    def test_packed_matches_float_reference(self, task, encoder, fitted):
         packed = encoder.encode_packed(task.test_x[:10])
-        want = fitted.model.predict(packed)
-        with float_backend():
-            assert (fitted.model.predict(packed) == want).all()
+        want = fitted.model.predict(unpack(packed).astype(np.float64))
+        assert (fitted.model.predict(packed) == want).all()
 
     def test_dim_mismatch_rejected(self, fitted):
         bad = pack(np.zeros((2, 64), dtype=np.uint8))

@@ -12,16 +12,14 @@ from repro.core.packed import (
     PackedHypervectors,
     bit_plane_ge,
     bit_plane_sum,
-    float_backend,
     pack,
     pack_model,
-    packed_backend_enabled,
     packed_bind,
     packed_hamming_distance,
     packed_popcount,
-    set_packed_backend,
     unpack,
 )
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 @st.composite
@@ -173,8 +171,7 @@ class TestBackendEquivalence:
     def test_similarities_bit_identical(self, mq):
         model, queries = mq
         packed_sims = model.similarities(queries)
-        with float_backend():
-            float_sims = model.similarities(queries)
+        float_sims = model.similarities(queries.astype(np.float64))
         assert (packed_sims == float_sims).all()
 
     @given(model_and_queries())
@@ -182,10 +179,9 @@ class TestBackendEquivalence:
     def test_predict_identical_including_ties(self, mq):
         model, queries = mq
         packed_preds = model.predict(queries)
-        with float_backend():
-            float_preds = model.predict(queries)
+        float_preds = model.predict(queries.astype(np.float64))
         assert (packed_preds == float_preds).all()
-        assert (model.predict_packed(queries) == float_preds).all()
+        assert (model.predict(pack(queries)) == float_preds).all()
 
     @given(model_and_queries(), st.integers(min_value=1, max_value=4))
     @settings(deadline=None)
@@ -194,8 +190,9 @@ class TestBackendEquivalence:
         divisors = [m for m in range(1, model.dim + 1) if model.dim % m == 0]
         num_chunks = divisors[min(chunk_factor, len(divisors) - 1)]
         packed_sims = chunk_similarities_batch(model, queries, num_chunks)
-        with float_backend():
-            float_sims = chunk_similarities_batch(model, queries, num_chunks)
+        float_sims = chunk_similarities_batch(
+            model, queries.astype(np.float64), num_chunks
+        )
         assert (packed_sims == float_sims).all()
 
     @given(hv_batch())
@@ -213,22 +210,30 @@ class TestBackendEquivalence:
         assert (got == ref).all()
 
 
-class TestBackendToggle:
-    def test_enabled_by_default(self):
-        assert packed_backend_enabled()
-
-    def test_context_manager_restores(self):
-        assert packed_backend_enabled()
-        with float_backend():
-            assert not packed_backend_enabled()
-        assert packed_backend_enabled()
-
-    def test_set_packed_backend(self):
-        try:
-            set_packed_backend(False)
-            assert not packed_backend_enabled()
-        finally:
-            set_packed_backend(True)
+class TestInputRouting:
+    def test_float64_input_takes_float_path(self):
+        """The input form alone picks the path: 0/1 bits as float64 reach
+        the float reference, and match the packed result bit for bit."""
+        rng = np.random.default_rng(12)
+        model = HDCModel(rng.integers(0, 2, (4, 1000), dtype=np.uint8))
+        queries = rng.integers(0, 2, (6, 1000), dtype=np.uint8)
+        with use_metrics(MetricsRegistry()) as registry:
+            packed_sims = model.similarities(queries)
+            packed_chunks = chunk_similarities_batch(model, queries, 10)
+        assert registry.counter("model.similarity_batches_packed") == 1
+        assert registry.counter("chunks.detect_batches_packed") == 1
+        assert registry.counter("model.similarity_batches_float") == 0
+        assert registry.counter("chunks.detect_batches_float") == 0
+        as_float = queries.astype(np.float64)
+        with use_metrics(MetricsRegistry()) as registry:
+            float_sims = model.similarities(as_float)
+            float_chunks = chunk_similarities_batch(model, as_float, 10)
+        assert registry.counter("model.similarity_batches_float") == 1
+        assert registry.counter("chunks.detect_batches_float") == 1
+        assert registry.counter("model.similarity_batches_packed") == 0
+        assert registry.counter("chunks.detect_batches_packed") == 0
+        assert (packed_sims == float_sims).all()
+        assert (packed_chunks == float_chunks).all()
 
 
 class TestPopcountFastPath:

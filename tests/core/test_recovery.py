@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack
 from repro.core.recovery import (
     RecoveryConfig,
     RecoveryStats,
@@ -227,23 +227,26 @@ class TestRecoverBlock:
             assert stats.chunks_repaired == ref_stats.chunks_repaired
             assert stats.confidence_trace == ref_stats.confidence_trace
 
-    def test_packed_and_float_backends_identical(self, fitted):
+    def test_packed_and_float64_identical(self, fitted):
         self._check_packed_and_float_identical(fitted)
 
-    def test_packed_and_float_backends_identical_benchmark_shape(
-        self, fitted_10k
-    ):
+    def test_packed_and_float64_identical_benchmark_shape(self, fitted_10k):
         self._check_packed_and_float_identical(fitted_10k)
 
     def _check_packed_and_float_identical(self, fitted):
+        """The same bits as float64 take the float reference end to end
+        and must replay the packed run exactly."""
         attacked, queries = self._attacked(fitted)
         packed_model, packed_preds, packed_stats = self._run(
             attacked, queries[:60], 16
         )
-        with float_backend():
+        with use_metrics(MetricsRegistry()) as registry:
             float_model, float_preds, float_stats = self._run(
-                attacked, queries[:60], 16
+                attacked, queries[:60].astype(np.float64), 16
             )
+        assert registry.counter("model.similarity_batches_packed") == 0
+        assert registry.counter("chunks.detect_batches_packed") == 0
+        assert registry.counter("chunks.detect_batches_float") > 0
         assert (packed_preds == float_preds).all()
         assert (packed_model.class_hv == float_model.class_hv).all()
         assert packed_stats.bits_substituted == float_stats.bits_substituted

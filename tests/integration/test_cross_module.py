@@ -8,6 +8,7 @@ from repro.core.model import HDCClassifier
 from repro.core.packed import pack, packed_hamming_distance
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.pim.dpim import DPIM
 from repro.pim.executor import HDCExecutor
 from repro.pim.mapping import map_hdc_model, writes_per_cell_per_inference
@@ -27,13 +28,22 @@ def fitted():
     return clf.model, queries
 
 
+def _float_reference(model, queries):
+    """Predictions on the float64 reference path, which must be taken."""
+    with use_metrics(MetricsRegistry()) as registry:
+        preds = model.predict(queries.astype(np.float64))
+    assert registry.counter("model.similarity_batches_float") == 1
+    assert registry.counter("model.similarity_batches_packed") == 0
+    return preds
+
+
 class TestThreeWayPredictionAgreement:
     def test_reference_packed_and_pim_agree(self, fitted):
-        """The numpy reference, the packed backend and the functional
+        """The float64 reference, the packed backend and the functional
         crossbar executor all classify identically."""
         model, queries = fitted
-        ref = model.predict(queries[:15])
-        packed = model.predict_packed(queries[:15])
+        ref = _float_reference(model, queries[:15])
+        packed = model.predict(queries[:15])
         pim = HDCExecutor(model, tile_rows=512).classify_batch(queries[:15])
         assert (ref == packed).all()
         assert (ref == pim).all()
@@ -44,8 +54,8 @@ class TestThreeWayPredictionAgreement:
         attacked, _ = attack(
             model, 0.15, "random", np.random.default_rng(0)
         )
-        ref = attacked.predict(queries[:10])
-        packed = attacked.predict_packed(queries[:10])
+        ref = _float_reference(attacked, queries[:10])
+        packed = attacked.predict(queries[:10])
         pim = HDCExecutor(attacked, tile_rows=512).classify_batch(queries[:10])
         assert (ref == packed).all()
         assert (ref == pim).all()

@@ -676,7 +676,7 @@ class TestHttpIngress:
         finally:
             conn.close()
 
-    def test_predict_packed_and_features(self, http_stack):
+    def test_predict_words_and_features(self, http_stack):
         port = http_stack["server"].http_port
         task, clf = http_stack["alpha"]
         words = clf.encoder.encode_packed(task.test_x[:4]).words
