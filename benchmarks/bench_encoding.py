@@ -5,14 +5,18 @@ paper's deployment shape (n = 64 features, D = 10,000, L = 32 levels —
 the HAR-sized workload):
 
 * **encode** — ``Encoder.encode_batch`` via the precomputed packed bound
-  codebook + carry-save-adder majority, vs the seed's ``(block, n, D)``
+  codebook + the active kernel backend's majority bundle, vs the seed's ``(block, n, D)``
   uint8 bound-tensor sum (kept as ``encode_batch_reference``), plus
   ``encode_packed`` emitting packed words directly (what the serving
   stack actually ingests — no unpack at all);
 * **fit** — ``HDCClassifier.fit_encoded``'s blocked GEMM + patch-forward
   perceptron vs the seed's ``np.add.at`` bundling and per-sample Python
   loop, with per-epoch and whole-fit timings;
-* **partial_fit** — streaming single-pass bundling throughput.
+* **partial_fit** — streaming single-pass bundling throughput;
+* **bundle** — ``KernelBackend.bundle_majority`` at the serving shape
+  (n = 32 features, D = 10,000, L = 32; the perfbench tenant) for
+  b = 1, 4 and 32 rows per call, on every backend available here, each
+  asserted bit-identical to the reference backend before it is timed.
 
 Every timed pair is asserted bit-identical before timing (the same
 equivalences are property-tested in ``tests/core``); results are written
@@ -32,12 +36,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.encoder import Encoder, clear_codebook_cache
 from repro.core.hypervector import class_bundle_counts
 from repro.core.model import (
@@ -60,6 +67,52 @@ def _time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _time_per_call(fn, repeats: int, budget_s: float = 0.05) -> float:
+    """Best-of-``repeats`` seconds per call, each repeat ~``budget_s`` long."""
+    start = time.perf_counter()
+    fn()
+    inner = max(1, int(budget_s / max(time.perf_counter() - start, 1e-7)))
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        best = min(best, (time.perf_counter() - start) / inner)
+    return best
+
+
+def bench_bundle(num_features: int, dim: int, levels: int,
+                 batches: tuple[int, ...], repeats: int) -> dict:
+    """Microseconds per bundle call on every available backend."""
+    enc = Encoder(num_features=num_features, dim=dim, levels=levels, seed=0)
+    codebook = enc.packed_codebook().words
+    rng = np.random.default_rng(1)
+    oracle = kernels.get_backend("reference")
+    names = [name for name, ok in kernels.available_backends().items() if ok]
+    legs = {}
+    for batch in batches:
+        idx = rng.integers(0, levels, (batch, num_features))
+        expected = oracle.bundle_majority(codebook, idx)
+        leg = {}
+        for name in names:
+            backend = kernels.get_backend(name)
+            assert (backend.bundle_majority(codebook, idx) == expected).all(), \
+                f"{name} bundle diverged from the reference"
+            seconds = _time_per_call(
+                lambda: backend.bundle_majority(codebook, idx), repeats
+            )
+            leg[name] = {"us_per_call": seconds * 1e6,
+                         "us_per_row": seconds * 1e6 / batch}
+        legs[str(batch)] = leg
+    return {
+        "num_features": num_features,
+        "dim": dim,
+        "levels": levels,
+        "backends": names,
+        "batches": legs,
+    }
 
 
 def bench_encode(num_features: int, dim: int, levels: int, batch: int,
@@ -184,20 +237,27 @@ def run(smoke: bool) -> dict:
                          repeats=2)
         fit_kw = dict(num_features=16, dim=512, levels=8, num_classes=4,
                       num_train=200, epochs=2, separation=1.2)
+        bundle_repeats = 2
     else:
         encode_kw = dict(num_features=64, dim=10_000, levels=32, batch=1_024,
                          repeats=3)
         fit_kw = dict(num_features=64, dim=10_000, levels=32, num_classes=12,
                       num_train=3_000, epochs=3, separation=1.2)
+        bundle_repeats = 5
     return {
-        "schema": 1,
+        "schema": 2,
         "generated_by": "benchmarks/bench_encoding.py"
         + (" --smoke" if smoke else ""),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "hardware_popcount": hasattr(np, "bitwise_count"),
+        "machine": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)),
+        "kernel_backend": kernels.active_backend().name,
         "encode": bench_encode(**encode_kw),
         "fit": bench_fit(**fit_kw),
+        "bundle": bench_bundle(num_features=32, dim=10_000, levels=32,
+                               batches=(1, 4, 32), repeats=bundle_repeats),
     }
 
 

@@ -29,11 +29,17 @@ Two bit-identical implementations exist:
   precomputes the bound codebook
   ``bound[k, l] = base[k] ⊕ level[l]`` once per encoder — stored packed,
   ``(n, L, D/64)`` uint64, lazily built and version-stamped like
-  :class:`~repro.core.packed.PackedModel` — and reduces the gathered
-  per-feature words with a carry-save adder tree plus a bitwise majority
-  compare (:func:`~repro.core.packed.bit_plane_sum` /
-  :func:`~repro.core.packed.bit_plane_ge`), so a sample is encoded
-  without ever re-XORing the codebooks or leaving the packed domain.
+  :class:`~repro.core.packed.PackedModel` — and hands the codebook plus
+  the quantised level indices to the active kernel backend's
+  :meth:`~repro.core.kernels.KernelBackend.bundle_majority`, which
+  gathers one bound row per feature and majority-bundles them without
+  ever re-XORing the codebooks or leaving the packed domain.  That is
+  the same dispatch rule distances follow: the native C kernel where it
+  compiled, else the NumPy carry-save tree, and whatever
+  :func:`~repro.core.kernels.use_kernel_backend` pins.  Training, the
+  encoder's own packed output and the serving workers (which hold only
+  the codebook words, see :func:`encode_words_from_codebook`) all take
+  this one path.
 
 :meth:`Encoder.encode_packed` exposes the packed result directly as
 :class:`~repro.core.packed.PackedHypervectors`, which the 1-bit serving
@@ -55,18 +61,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.hypervector import (
     bind,
     level_hypervectors,
     random_hypervectors,
 )
-from repro.core.packed import (
-    PackedHypervectors,
-    _pack_bits,
-    bit_plane_ge,
-    bit_plane_sum,
-    unpack,
-)
+from repro.core.packed import PackedHypervectors, _pack_bits, unpack
 from repro.obs.metrics import current as _metrics
 
 __all__ = [
@@ -170,12 +171,16 @@ def encode_words_from_codebook(
 
     ``codebook_words`` is the ``(n, L, W)`` uint64 bound table
     (``bound[k, l] = base[k] ⊕ level[l]``, the
-    :class:`PackedCodebook` word matrix) and ``idx`` the ``(b, n)``
-    quantised level indices.  Per block: gather each feature's bound word
-    row, reduce the ``n`` gathered word arrays with a carry-save adder
-    tree into per-dimension count planes, and majority-compare the planes
-    against ``n/2`` — all word-wide bitwise ops, no per-sample XOR and no
-    unpacked intermediate.
+    :class:`PackedCodebook` word matrix, or a word-block slice of it) and
+    ``idx`` the ``(b, n)`` quantised level indices.  Each block of
+    ``rows_per_block`` rows is one
+    :meth:`~repro.core.kernels.KernelBackend.bundle_majority` call on the
+    active kernel backend: gather each feature's bound row and take the
+    bitwise strict majority of the ``n`` rows — all word-wide, no
+    per-sample XOR and no unpacked intermediate.
+
+    Level indices must be integers in ``[0, L)``; anything else raises
+    ``ValueError`` before any row is gathered.
 
     Module-level (rather than an :class:`Encoder` method) so processes
     that hold only the codebook *words* — e.g. serving workers attached
@@ -183,24 +188,15 @@ def encode_words_from_codebook(
     encoder, which would regenerate the base/level tables from scratch.
     Bit-identical to :meth:`Encoder.encode_packed` on the same codebook.
     """
+    backend = kernels.active_backend()
     idx = np.asarray(idx)
-    n = codebook_words.shape[0]
-    if idx.ndim != 2 or idx.shape[1] != n:
-        raise ValueError(
-            f"expected (b, {n}) level indices, got {idx.shape}"
-        )
-    words = codebook_words.shape[2]
-    out = np.empty((idx.shape[0], words), dtype=np.uint64)
-    threshold = n // 2 + 1  # strict majority: 2*count > n
     rows = max(1, int(rows_per_block))
+    if idx.ndim != 2 or idx.shape[0] <= rows:
+        return backend.bundle_majority(codebook_words, idx)
+    out = np.empty((idx.shape[0], codebook_words.shape[2]), dtype=np.uint64)
     for start in range(0, idx.shape[0], rows):
-        block_idx = idx[start : start + rows]
-        operands = [
-            codebook_words[k, block_idx[:, k]] for k in range(n)
-        ]  # n x (b, W)
-        planes = bit_plane_sum(operands)
-        out[start : start + block_idx.shape[0]] = bit_plane_ge(
-            planes, threshold
+        out[start : start + rows] = backend.bundle_majority(
+            codebook_words, idx[start : start + rows]
         )
     return out
 
@@ -358,10 +354,11 @@ class Encoder:
         """Samples encoded per block under the current byte budget.
 
         The reference path holds a ``(rows, n, D)`` uint8 bound tensor
-        (``n * D`` bytes per row); the packed path holds the gathered
-        per-feature word arrays plus carry-save scratch of comparable
-        size (``~2 * n * D / 8`` bytes per row), so it fits ~4x more rows
-        in the same budget.
+        (``n * D`` bytes per row); the packed path on the NumPy backend
+        holds the gathered per-feature word arrays plus carry-save
+        scratch of comparable size (``~2 * n * D / 8`` bytes per row), so
+        it fits ~4x more rows in the same budget.  The native backend
+        needs only its output, so the budget over-provisions it.
         """
         if packed:
             words = -(-self.dim // 64)

@@ -44,8 +44,6 @@ import numpy as np
 __all__ = [
     "PackedHypervectors",
     "PackedModel",
-    "bit_plane_ge",
-    "bit_plane_sum",
     "pack",
     "unpack",
     "packed_bind",
@@ -120,97 +118,6 @@ def packed_popcount(words: np.ndarray) -> np.ndarray:
 def packed_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """XOR binding directly on packed words (broadcastable)."""
     return np.bitwise_xor(a, b)
-
-
-def _add_bit_planes(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
-    """Bitwise ripple-carry addition of two bit-plane numbers.
-
-    ``x`` and ``y`` are little-endian lists of word arrays: bit ``i`` of
-    the per-position counter lives in ``x[i]``.  Each addition step is a
-    half or full adder expressed as word-wide XOR/AND/OR, so a whole
-    batch of counters advances per numpy call.
-    """
-    out: list[np.ndarray] = []
-    carry: np.ndarray | None = None
-    for i in range(max(len(x), len(y))):
-        bits = [
-            p
-            for p in (
-                x[i] if i < len(x) else None,
-                y[i] if i < len(y) else None,
-                carry,
-            )
-            if p is not None
-        ]
-        if len(bits) == 1:
-            plane, carry = bits[0], None
-        elif len(bits) == 2:
-            a, b = bits
-            plane, carry = a ^ b, a & b
-        else:
-            a, b, c = bits
-            t = a ^ b
-            plane = t ^ c
-            carry = (a & b) | (t & c)
-        out.append(plane)
-    if carry is not None:
-        out.append(carry)
-    return out
-
-
-def bit_plane_sum(operands: list[np.ndarray]) -> list[np.ndarray]:
-    """Sum binary word arrays *per bit position* into bit planes.
-
-    ``operands`` is a list of equal-shape uint64 word arrays, each
-    encoding one binary value per bit position.  The result is a
-    little-endian list of planes: bit ``j`` of word position ``p`` across
-    the planes spells the count of operands whose bit ``(p, j)`` is set —
-    a carry-save adder tree evaluated with word-wide XOR/AND/OR, i.e. 64
-    independent counters advance per machine word.  This is what lets
-    majority bundling (the encoder's bundle step) run entirely in the
-    packed domain.
-    """
-    if not operands:
-        raise ValueError("bit_plane_sum needs at least one operand")
-    if len(operands) == 1:
-        return [operands[0]]
-    mid = len(operands) // 2
-    return _add_bit_planes(
-        bit_plane_sum(operands[:mid]), bit_plane_sum(operands[mid:])
-    )
-
-
-def bit_plane_ge(planes: list[np.ndarray], threshold: int) -> np.ndarray:
-    """Per-bit-position comparison ``count >= threshold`` of bit planes.
-
-    ``planes`` is the little-endian counter representation produced by
-    :func:`bit_plane_sum`; the result is a single word array whose bit is
-    1 exactly where the counter meets the threshold — the majority rule
-    of bundling, computed without ever leaving the packed domain.
-    """
-    if not planes:
-        raise ValueError("bit_plane_ge needs at least one plane")
-    ones = np.full_like(planes[0], np.uint64(0xFFFFFFFFFFFFFFFF))
-    if threshold <= 0:
-        return ones
-    nbits = max(len(planes), int(threshold).bit_length())
-    gt = np.zeros_like(planes[0])
-    eq = ones
-    for i in range(nbits - 1, -1, -1):
-        want = (threshold >> i) & 1
-        plane = planes[i] if i < len(planes) else None
-        if plane is None:
-            # Counter bit i is implicitly 0; if the threshold wants a 1
-            # here, equality is impossible from this prefix on.
-            if want:
-                eq = np.zeros_like(eq)
-            continue
-        if want:
-            eq = eq & plane
-        else:
-            gt = gt | (eq & plane)
-            eq = eq & ~plane
-    return gt | eq
 
 
 def packed_hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

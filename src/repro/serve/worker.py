@@ -29,11 +29,11 @@ loops:
    the batch event.
 4. **Serve.**  Drop requests whose deadline already passed, group the
    rest by tenant, gather each group's payloads from the ring (packed
-   query words directly, or features quantised + encoded against that
-   tenant's codebook), run one coalesced distance computation per
-   tenant, and post per-request predictions plus one
-   :class:`~repro.obs.trace.ServeBatchEvent`-shaped record back on the
-   result queue.
+   query words directly; the group's feature rows quantised together
+   and encoded against that tenant's codebook in one bundle call), run
+   one coalesced distance computation per tenant, and post per-request
+   predictions plus one :class:`~repro.obs.trace.ServeBatchEvent`-shaped
+   record back on the result queue.
 
 When the engine runs with telemetry (the default), each worker is also
 the single writer of its shared-memory *telemetry slab*
@@ -93,7 +93,10 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
     range when unsharded or class-sharded).  The common case — every
     live request packed with the same query count — gathers with one
     fancy index over the ring instead of a Python-level slice per
-    request; mixed batches fall back to the per-request path.
+    request.  Otherwise the feature rows of every feature request are
+    quantised together and encoded with one bundle call against the
+    codebook's column slice, then placed back in ``live`` order beside
+    the packed rows.
     """
     words = tenant.words
     n0 = live[0][2]
@@ -103,7 +106,8 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
         )
         block = ring.array[slots, : n0 * words].reshape(-1, words)
         return block[:, word_lo:word_hi]
-    rows = []
+    rows = []  # per request: its query words, or None for feature rows
+    features = []
     for _, slot, n_queries, kind in live:
         if kind == PAYLOAD_PACKED:
             rows.append(
@@ -111,19 +115,27 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
                 .reshape(n_queries, words)[:, word_lo:word_hi]
             )
         else:
-            feats = (
+            rows.append(None)
+            features.append(
                 ring.array[slot, : n_queries * tenant.num_features]
                 .view(np.float64)
                 .reshape(n_queries, tenant.num_features)
             )
-            idx = quantize_features(
-                feats, tenant.levels, tenant.low, tenant.high
-            )
-            rows.append(
-                encode_words_from_codebook(
-                    codebook.array[:, :, word_lo:word_hi], idx
-                )
-            )
+    if features:
+        idx = quantize_features(
+            features[0] if len(features) == 1 else np.concatenate(features),
+            tenant.levels, tenant.low, tenant.high,
+        )
+        encoded = encode_words_from_codebook(
+            codebook.array[:, :, word_lo:word_hi], idx
+        )
+        if len(features) == len(live):
+            return encoded
+        offset = 0
+        for i, (_, _, n_queries, kind) in enumerate(live):
+            if kind != PAYLOAD_PACKED:
+                rows[i] = encoded[offset : offset + n_queries]
+                offset += n_queries
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 

@@ -2,13 +2,22 @@
 
 Every registered backend must produce a distance table bit-identical to
 :class:`ReferenceBackend` — the unpacked uint8 oracle — over random
-shapes, including operands with zeroed pad bits (the word-shard case).
+shapes, including operands with zeroed pad bits (the word-shard case),
+and majority bundles bit-identical to it and to the encoder's unpacked
+reference encoding.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
+from repro.core.encoder import (
+    Encoder,
+    encode_words_from_codebook,
+    quantize_features,
+)
 from repro.core.packed import pack
 
 RNG = np.random.default_rng(71)
@@ -74,6 +83,123 @@ class TestEquivalence:
         assert zero_w.shape == (2, 3) and not zero_w.any()
 
 
+ALL_BACKENDS = ["reference", "numpy", "native"]
+
+
+def encoded_case(n: int, dim: int, levels: int, batch: int, seed: int = 0):
+    """A bound codebook, level indices, and the reference encoding."""
+    enc = Encoder(num_features=n, dim=dim, levels=levels, seed=seed)
+    features = np.random.default_rng(seed).random((batch, n))
+    idx = quantize_features(features, levels, enc.low, enc.high)
+    words = -(-dim // 64)
+    if batch:
+        expected = pack(enc.encode_batch_reference(features)).words
+    else:
+        expected = np.empty((0, words), dtype=np.uint64)
+    return enc.packed_codebook().words, idx, expected
+
+
+# (n, dim, levels, batch): one feature; even and odd n; n >= 256, which
+# needs 9 counter planes; dims off the word boundary; an empty batch.
+BUNDLE_CASES = [
+    (1, 100, 2, 3),
+    (2, 64, 3, 4),
+    (7, 640, 5, 5),
+    (32, 10_000, 32, 4),
+    (33, 1000, 16, 6),
+    (300, 130, 4, 3),
+    (256, 65, 8, 2),
+    (5, 200, 8, 0),
+]
+
+
+class TestBundleMajority:
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("n,dim,levels,batch", BUNDLE_CASES)
+    def test_matches_reference_encoding(self, name, n, dim, levels, batch):
+        backend = get_or_skip(name)
+        codebook, idx, expected = encoded_case(n, dim, levels, batch)
+        got = backend.bundle_majority(codebook, idx)
+        assert got.dtype == np.uint64
+        assert got.shape == expected.shape
+        assert (got == expected).all()
+        if dim % 64 and batch:
+            pad = ~np.uint64(0) << np.uint64(dim % 64)
+            assert not (got[:, -1] & pad).any()
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_word_shard_slice_read_in_place(self, name):
+        """A strided word-block view of the codebook bundles to the same
+        word block of the full encoding."""
+        backend = get_or_skip(name)
+        codebook, idx, expected = encoded_case(9, 1000, 8, 5)
+        view = codebook[:, :, 3:11]
+        assert not view.flags.c_contiguous
+        assert (backend.bundle_majority(view, idx) == expected[:, 3:11]).all()
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 8, 31, 64, 257]),
+        dim=st.sampled_from([2, 63, 64, 65, 130, 600]),
+        levels=st.sampled_from([2, 3, 32]),
+        batch=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_backends_agree(self, n, dim, levels, batch, seed):
+        levels = min(levels, dim)
+        codebook, idx, expected = encoded_case(n, dim, levels, batch, seed)
+        lo = seed % codebook.shape[2]
+        for name in ALL_BACKENDS:
+            if not kernels._BACKEND_CLASSES[name].available():
+                continue
+            backend = kernels.get_backend(name)
+            assert (backend.bundle_majority(codebook, idx) == expected).all()
+            assert (
+                backend.bundle_majority(codebook[:, :, lo:], idx)
+                == expected[:, lo:]
+            ).all()
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_encode_words_dispatches_through_active_backend(self, name):
+        get_or_skip(name)
+        codebook, idx, expected = encoded_case(6, 130, 8, 7)
+        with kernels.use_kernel_backend(name):
+            assert (encode_words_from_codebook(codebook, idx) == expected).all()
+            blocked = encode_words_from_codebook(
+                codebook, idx, rows_per_block=2
+            )
+        assert (blocked == expected).all()
+
+
+class TestBundleValidation:
+    """Bad level indices raise before any backend gathers a row."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize(
+        "bad",
+        [[[-1, 0, 0, 0]], [[0, 0, 4, 0]], [[0.0, 1.0, 2.0, 3.0]],
+         [[0, 1, 2]], [0, 1, 2, 3]],
+        ids=["negative", "too-large", "float", "short-row", "1-d"],
+    )
+    def test_bad_indices_rejected(self, name, bad):
+        backend = get_or_skip(name)
+        codebook, _, _ = encoded_case(4, 100, 4, 1)
+        with pytest.raises(ValueError):
+            backend.bundle_majority(codebook, np.asarray(bad))
+        with kernels.use_kernel_backend(name):
+            with pytest.raises(ValueError):
+                encode_words_from_codebook(codebook, bad)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_bad_codebook_rejected(self, name):
+        backend = get_or_skip(name)
+        idx = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="uint64 codebook"):
+            backend.bundle_majority(np.zeros((2, 2, 3), np.int64), idx)
+        with pytest.raises(ValueError, match="uint64 codebook"):
+            backend.bundle_majority(np.zeros((2, 3), np.uint64), idx)
+
+
 class TestValidation:
     def test_dtype_rejected(self):
         backend = kernels.get_backend("numpy")
@@ -108,7 +234,7 @@ class TestRegistry:
             kernels.get_backend("tpu")
 
     def test_unavailable_backend_rejected(self, monkeypatch):
-        monkeypatch.setattr(kernels.NativeCpuBackend, "_fn", None)
+        monkeypatch.setattr(kernels.NativeCpuBackend, "_kernels", None)
         monkeypatch.setattr(kernels.NativeCpuBackend, "_build_failed", True)
         with pytest.raises(RuntimeError, match="not available"):
             kernels.get_backend("native")
@@ -199,7 +325,7 @@ class TestNativeBackend:
             check=True, capture_output=True, timeout=120,
         )
         monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
-        monkeypatch.setattr(kernels.NativeCpuBackend, "_fn", None)
+        monkeypatch.setattr(kernels.NativeCpuBackend, "_kernels", None)
         monkeypatch.setattr(kernels.NativeCpuBackend, "_build_failed", False)
         assert not kernels.NativeCpuBackend.available()
         assert kernels.active_backend().name == "numpy"

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.chunks import chunk_similarities_batch
 from repro.core.hypervector import bind, hamming_distance
+from repro.core.kernels import bit_plane_ge, bit_plane_sum
 from repro.core.model import HDCModel
 from repro.core.packed import (
     PackedHypervectors,
-    bit_plane_ge,
-    bit_plane_sum,
     pack,
     pack_model,
     packed_bind,
