@@ -11,7 +11,9 @@ the HAR-sized workload):
   stack actually ingests — no unpack at all);
 * **fit** — ``HDCClassifier.fit_encoded``'s blocked GEMM + patch-forward
   perceptron vs the seed's ``np.add.at`` bundling and per-sample Python
-  loop, with per-epoch and whole-fit timings;
+  loop, with per-epoch and whole-fit timings (the vectorised fit, epoch
+  and streaming legs are timed best-of-``repeats`` after one untimed
+  warm-up call each);
 * **partial_fit** — streaming single-pass bundling throughput;
 * **bundle** — ``KernelBackend.bundle_majority`` at the serving shape
   (n = 32 features, D = 10,000, L = 32; the perfbench tenant) for
@@ -177,7 +179,8 @@ def _fit_reference(encoded: np.ndarray, labels: np.ndarray, num_classes: int,
 
 
 def bench_fit(num_features: int, dim: int, levels: int, num_classes: int,
-              num_train: int, epochs: int, separation: float) -> dict:
+              num_train: int, epochs: int, separation: float,
+              repeats: int) -> dict:
     task = make_classification(
         "bench", num_features=num_features, num_classes=num_classes,
         num_train=num_train, num_test=2, separation=separation, seed=0,
@@ -191,29 +194,41 @@ def bench_fit(num_features: int, dim: int, levels: int, num_classes: int,
     )
     t_fit_ref = t_bundle_ref + epochs * t_epoch_ref
 
-    clf = HDCClassifier(enc, num_classes=num_classes, epochs=epochs, seed=0)
-    start = time.perf_counter()
-    clf.fit_encoded(encoded, labels)
-    t_fit_vec = time.perf_counter() - start
-    assert (clf._acc == ref_acc).all(), \
+    # Each vectorised leg starts from fresh state on every call; one
+    # untimed call first, so no leg times a cold allocator or cache.
+    def fit():
+        clf = HDCClassifier(enc, num_classes=num_classes, epochs=epochs,
+                            seed=0)
+        clf.fit_encoded(encoded, labels)
+        return clf
+
+    assert (fit()._acc == ref_acc).all(), \
         "vectorised fit diverged from the per-sample reference"
+    t_fit_vec = _time(fit, repeats)
 
     # Epoch-only comparison from the same starting accumulators.
     acc0 = class_bundle_counts(encoded, labels, num_classes)
     bipolar8 = (encoded.astype(np.int8) << 1) - 1
-    acc_v = acc0.copy()
-    start = time.perf_counter()
-    _perceptron_epoch(acc_v, bipolar8, labels, np.random.default_rng(1))
-    t_epoch_vec = time.perf_counter() - start
+
+    def epoch():
+        _perceptron_epoch(acc0.copy(), bipolar8, labels,
+                          np.random.default_rng(1))
+
+    epoch()
+    t_epoch_vec = _time(epoch, repeats)
 
     # Streaming single-pass throughput over the same data.
-    streamer = HDCClassifier(enc, num_classes=num_classes, epochs=0, seed=0)
     chunk = max(1, num_train // 8)
-    start = time.perf_counter()
-    for lo in range(0, num_train, chunk):
-        streamer.partial_fit_encoded(encoded[lo:lo + chunk],
-                                     labels[lo:lo + chunk])
-    t_stream = time.perf_counter() - start
+
+    def stream():
+        streamer = HDCClassifier(enc, num_classes=num_classes, epochs=0,
+                                 seed=0)
+        for lo in range(0, num_train, chunk):
+            streamer.partial_fit_encoded(encoded[lo:lo + chunk],
+                                         labels[lo:lo + chunk])
+
+    stream()
+    t_stream = _time(stream, repeats)
 
     return {
         "num_features": num_features,
@@ -221,6 +236,7 @@ def bench_fit(num_features: int, dim: int, levels: int, num_classes: int,
         "num_classes": num_classes,
         "num_train": num_train,
         "epochs": epochs,
+        "repeats": repeats,
         "reference_epoch_s": t_epoch_ref,
         "vectorised_epoch_s": t_epoch_vec,
         "epoch_speedup": t_epoch_ref / t_epoch_vec,
@@ -236,16 +252,16 @@ def run(smoke: bool) -> dict:
         encode_kw = dict(num_features=16, dim=520, levels=8, batch=128,
                          repeats=2)
         fit_kw = dict(num_features=16, dim=512, levels=8, num_classes=4,
-                      num_train=200, epochs=2, separation=1.2)
+                      num_train=200, epochs=2, separation=1.2, repeats=2)
         bundle_repeats = 2
     else:
         encode_kw = dict(num_features=64, dim=10_000, levels=32, batch=1_024,
                          repeats=3)
         fit_kw = dict(num_features=64, dim=10_000, levels=32, num_classes=12,
-                      num_train=3_000, epochs=3, separation=1.2)
+                      num_train=3_000, epochs=3, separation=1.2, repeats=5)
         bundle_repeats = 5
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "benchmarks/bench_encoding.py"
         + (" --smoke" if smoke else ""),
         "python": sys.version.split()[0],

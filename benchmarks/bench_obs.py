@@ -176,15 +176,20 @@ def bench_recovery(dim: int, num_classes: int, num_chunks: int, stream: int,
 
 def bench_telemetry(num_classes: int, num_features: int, dim: int,
                     levels: int, batch: int, rounds: int,
-                    repeats: int) -> dict:
+                    repeats: int, pairs: int) -> dict:
     """Serving-telemetry cost: slabs on vs off, plus the micro record cost.
 
     The gated number is ``record_overhead_vs_batch``: the measured cost
     of one worker's full per-batch recording (two flight events + one
     seqlock-stamped stats update) divided by the mean worker batch
-    duration observed with telemetry on.  Engine wall clock for both
-    modes is reported alongside as context, not gated — fork timing and
-    scheduler noise dominate it at benchmark scale.
+    duration observed with telemetry on.  It is the median over
+    ``pairs`` alternating pairs, each timing the record path on this
+    thread's CPU clock and then serving one round, whose batch durations
+    the workers time around their compute alone.  Batches served before
+    the pairs (every worker's cold first batch among them) are not
+    counted.  Engine wall clock for both modes is reported alongside as
+    context, not gated — fork timing and scheduler noise dominate it at
+    benchmark scale.
     """
     task = make_prototype_classification(
         "bench-obs-tele", num_features=num_features, num_classes=num_classes,
@@ -202,9 +207,24 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
 
     disable_metrics()
 
+    # The full per-batch record path on an in-process slab (identical
+    # code path — the writer is buffer-agnostic).
+    writer = TelemetryWriter(np.zeros(slab_words(256), dtype=np.uint64), 0)
+
+    def record_cost_s(iters: int = 200) -> float:
+        start = time.thread_time()
+        for i in range(iters):
+            writer.record_event(EV_BATCH_START, i, i, 8, i)
+            writer.record_event(EV_BATCH_END, i, i, 32, 1_000)
+            writer.record_batch(requests=8, queries=32, expired=0,
+                                duration_ns=1_000, adopted=False,
+                                degraded=False, now_ns=i)
+        return (time.thread_time() - start) / iters
+
     def serve(telemetry: bool):
         engine = ServingEngine(classifier, num_workers=2,
                                telemetry=telemetry)
+        records, ratios, durations = [], [], []
         try:
             _predict(engine, queries)  # warm-up: fork + first adoption
             best = float("inf")
@@ -213,33 +233,29 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
                 for _ in range(rounds):
                     preds = _predict(engine, queries)
                 best = min(best, time.perf_counter() - start)
-            merged = engine.telemetry.scrape() if telemetry else None
+            events = engine.trace.events
+            assert len({e.worker_id for e in events}) == 2, \
+                "a worker's cold first batch would land in the pairs"
+            seen = len(events)
+            for _ in range(pairs if telemetry else 0):
+                record = record_cost_s()
+                _predict(engine, queries)
+                # A batch event can land just after its results do; it
+                # is then counted in the next pair.
+                new = [e.duration_s for e in events[seen:]]
+                seen += len(new)
+                if new:
+                    records.append(record)
+                    ratios.append(record / float(np.mean(new)))
+                    durations += new
         finally:
             engine.stop()
-        return preds, best, merged
+        return preds, best, records, ratios, durations
 
-    preds_on, t_on, merged = serve(telemetry=True)
-    preds_off, t_off, _ = serve(telemetry=False)
+    record_cost_s()  # warm-up
+    preds_on, t_on, records, ratios, durations = serve(telemetry=True)
+    preds_off, t_off, *_ = serve(telemetry=False)
     assert (preds_on == preds_off).all(), "telemetry changed predictions"
-
-    duration = merged["histograms"]["batch_duration_ns"]
-    mean_batch_ns = duration["sum"] / max(1, duration["count"])
-
-    # Micro-measure the full per-batch record path on an in-process slab
-    # (identical code path — the writer is buffer-agnostic).
-    writer = TelemetryWriter(np.zeros(slab_words(256), dtype=np.uint64), 0)
-    iters = 2_000
-    best_record = float("inf")
-    for _ in range(max(3, repeats)):
-        start = time.perf_counter()
-        for i in range(iters):
-            writer.record_event(EV_BATCH_START, i, i, 8, i)
-            writer.record_event(EV_BATCH_END, i, i, 32, 1_000)
-            writer.record_batch(requests=8, queries=32, expired=0,
-                                duration_ns=1_000, adopted=False,
-                                degraded=False, now_ns=i)
-        best_record = min(best_record, time.perf_counter() - start)
-    record_ns = best_record / iters * 1e9
 
     return {
         "dim": dim,
@@ -248,10 +264,11 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
         "telemetry_on_qps": rounds * batch / t_on,
         "telemetry_off_qps": rounds * batch / t_off,
         "wall_overhead": t_on / t_off - 1.0,
-        "worker_batches": int(duration["count"]),
-        "mean_batch_us": mean_batch_ns / 1e3,
-        "record_cost_us": record_ns / 1e3,
-        "record_overhead_vs_batch": record_ns / max(1.0, mean_batch_ns),
+        "pairs": len(ratios),
+        "worker_batches": len(durations),
+        "mean_batch_us": float(np.mean(durations)) * 1e6,
+        "record_cost_us": float(np.median(records)) * 1e6,
+        "record_overhead_vs_batch": float(np.median(ratios)),
     }
 
 
@@ -261,15 +278,17 @@ def run(smoke: bool) -> dict:
         recover_kw = dict(dim=2_000, num_classes=6, num_chunks=20,
                           stream=128, repeats=2)
         telemetry_kw = dict(num_classes=6, num_features=16, dim=1_024,
-                            levels=8, batch=256, rounds=4, repeats=1)
+                            levels=8, batch=256, rounds=4, repeats=1,
+                            pairs=40)
     else:
         predict_kw = dict(dim=10_000, num_classes=12, batch=2_048, repeats=7)
         recover_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
                           stream=1_024, repeats=5)
         telemetry_kw = dict(num_classes=12, num_features=32, dim=4_096,
-                            levels=16, batch=1_024, rounds=8, repeats=3)
+                            levels=16, batch=1_024, rounds=8, repeats=3,
+                            pairs=40)
     return {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "benchmarks/bench_obs.py"
         + (" --smoke" if smoke else ""),
         "python": sys.version.split()[0],

@@ -31,9 +31,7 @@ Three backends implement both:
   8-word block at a time.  Neither materialises an intermediate larger
   than its output, and ctypes releases the GIL for each call.
 
-Every backend runs on the CPU.  :func:`roofline_validation` compares a
-backend's measured throughput against the analytic
-:class:`repro.pim.gpu.GPUModel` roofline.
+Every backend runs on the CPU.
 
 Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is the one scoped by
@@ -61,7 +59,6 @@ from __future__ import annotations
 
 import os
 import stat
-import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Iterator
@@ -79,7 +76,6 @@ __all__ = [
     "bit_plane_sum",
     "get_backend",
     "use_kernel_backend",
-    "roofline_validation",
 ]
 
 # Cache-sized row blocking for the CPU path: a query block is read from
@@ -713,49 +709,3 @@ def use_kernel_backend(backend: KernelBackend | str) -> Iterator[KernelBackend]:
     finally:
         _ACTIVE = previous
 
-
-def roofline_validation(
-    backend: KernelBackend,
-    *,
-    dim: int = 10_000,
-    num_classes: int = 26,
-    batch: int = 2_048,
-    repeats: int = 3,
-    gpu_model=None,
-    seed: int = 0,
-) -> dict:
-    """Measured backend throughput vs the analytic GPU roofline.
-
-    Runs ``backend.distance_table`` on a synthetic packed workload and
-    divides the measured queries/s by the prediction of
-    :meth:`repro.pim.gpu.GPUModel.packed_classify_qps` — the cross-link
-    between the analytic Figure 2 cost model and a real kernel backend.
-    Returns a dict (recorded verbatim in ``BENCH_serve.json``) with the
-    measured and predicted rates and their ratio; a ratio near 1 means
-    the roofline calibration describes the real substrate.
-    """
-    if gpu_model is None:
-        from repro.pim.gpu import GPUModel
-
-        gpu_model = GPUModel()
-    rng = np.random.default_rng(seed)
-    words = -(-dim // 64)
-    model = rng.integers(0, 1 << 63, (num_classes, words), dtype=np.uint64)
-    queries = rng.integers(0, 1 << 63, (batch, words), dtype=np.uint64)
-    backend.distance_table(queries[:8], model)  # warm-up
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        backend.distance_table(queries, model)
-        best = min(best, time.perf_counter() - start)
-    measured_qps = batch / best
-    predicted_qps = gpu_model.packed_classify_qps(dim, num_classes)
-    return {
-        "backend": backend.name,
-        "dim": dim,
-        "num_classes": num_classes,
-        "batch": batch,
-        "measured_queries_per_s": measured_qps,
-        "roofline_queries_per_s": predicted_qps,
-        "measured_over_roofline": measured_qps / predicted_qps,
-    }

@@ -13,8 +13,9 @@ noisy-chunk detector (:mod:`repro.core.chunks`) through it, with
 bit-identical results to the float reference (for a 1-bit model the
 centred-weight dot product is exactly ``D/2 - hamming``, and both sides
 are exact in float64).  Equivalence is guaranteed by property tests
-(``tests/core/test_packed.py``) and the speedup measured by
-``benchmarks/bench_serving.py`` (written to ``BENCH_serving.json``).
+(``tests/core/test_packed.py``); perfbench's traced ledger
+(``python3 perfbench/run.py --workload <w> --seed <n> --trace 1``)
+measures its serving cost in the ``packed`` and ``kernels`` rows.
 
 Conventions: dimension ``i`` lives in word ``i // 64``, bit ``i % 64``
 (little-endian within the word).  Vectors whose dimensionality is not a

@@ -330,18 +330,3 @@ class TestNativeBackend:
         assert not kernels.NativeCpuBackend.available()
         assert kernels.active_backend().name == "numpy"
 
-
-class TestRoofline:
-    def test_roofline_validation_record(self):
-        record = kernels.roofline_validation(
-            kernels.get_backend("numpy"), dim=512, num_classes=6,
-            batch=64, repeats=1,
-        )
-        assert record["backend"] == "numpy"
-        assert record["measured_queries_per_s"] > 0
-        assert record["roofline_queries_per_s"] > 0
-        assert record["measured_over_roofline"] == pytest.approx(
-            record["measured_queries_per_s"]
-            / record["roofline_queries_per_s"]
-        )
-

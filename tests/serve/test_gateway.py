@@ -1,11 +1,12 @@
 """Gateway end-to-end tests: multi-tenant serving over TCP, admission
-control shedding, per-tenant hot-swap isolation, and worker-SIGKILL
-re-dispatch underneath a live gateway."""
+control shedding, per-tenant hot-swap isolation, worker-SIGKILL
+re-dispatch underneath a live gateway, and loopback round-trip latency."""
 
 import asyncio
 import glob
 import os
 import signal
+import socket
 import time
 
 import numpy as np
@@ -386,6 +387,46 @@ class TestGatewayLifecycle:
 
     def test_port_zero_picks_free_port(self, stack):
         assert stack["server"].port > 0
+
+
+class TestRoundTripLatency:
+    def test_sequential_round_trips_have_no_nagle_stall(self, stack):
+        """TCP_NODELAY on both ends keeps a sequential loopback round
+        trip in the low milliseconds; Nagle's algorithm meeting delayed
+        ACKs would park the median near 40 ms."""
+        task, clf = stack["beta"]
+        words = clf.encoder.encode_packed(task.test_x[:8]).words
+        server = GatewayServer(stack["engine"])
+        accepted = []
+        handle = server._handle_connection
+
+        async def record_socket(reader, writer):
+            accepted.append(writer.get_extra_info("socket"))
+            await handle(reader, writer)
+
+        server._handle_connection = record_socket
+        server.start()
+        samples = []
+        try:
+            with GatewayClient("127.0.0.1", server.port) as client:
+                client.predict(words, tenant="beta")  # warm-up
+                for _ in range(50):
+                    start = time.perf_counter()
+                    client.predict(words, tenant="beta")
+                    samples.append((time.perf_counter() - start) * 1e3)
+                nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert client._sock.getsockopt(*nodelay), \
+                    "client socket left Nagle on"
+                assert len(accepted) == 1
+                assert accepted[0].getsockopt(*nodelay), \
+                    "gateway's accepted socket left Nagle on"
+        finally:
+            server.stop()
+        p50 = float(np.percentile(samples, 50))
+        assert p50 < 25.0, (
+            f"sequential gateway round trip p50 {p50:.1f} ms looks like a "
+            f"Nagle stall (expected low single digits with TCP_NODELAY)"
+        )
 
 
 class TestBatchedSubmit:

@@ -8,7 +8,9 @@ The load-bearing properties:
 * a concurrent attack-and-recover published into a sharded engine ends
   bit-identical to the sequential reference;
 * killing one replica of a shard re-routes its work to the surviving
-  replica; every test leaves ``/dev/shm`` clean.
+  replica; every test leaves ``/dev/shm`` clean;
+* a sharded fleet's telemetry scrape exports one rollup per shard in
+  the Prometheus text.
 """
 
 import glob
@@ -24,6 +26,8 @@ from hypothesis import strategies as st
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.datasets.synthetic import make_prototype_classification
+from repro.obs.export import render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     ServeRequest,
     ServingEngine,
@@ -232,6 +236,43 @@ class TestShardedServing:
         for event in events:
             assert 0 < event.bytes_scanned // max(1, event.queries) \
                 < full_bytes
+
+
+class TestShardedFleetExport:
+    @pytest.mark.parametrize("kind", ["class", "word"])
+    def test_prometheus_export_carries_per_shard_rollups(self, fitted, kind):
+        """Every query visits every shard, so each shard's rollup counts
+        all of them and the two rollups sum to the fleet counters; a
+        second scrape adds nothing."""
+        task, clf = fitted
+        plan = (
+            ShardPlan.by_class(clf.model.num_classes, 2)
+            if kind == "class"
+            else ShardPlan.by_word(clf.encoder.dim, 2)
+        )
+        words = clf.encoder.encode_packed(task.test_x).words
+        registry = MetricsRegistry()
+        with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
+            serve_all(engine, words)
+            engine.scrape_telemetry(registry)
+            engine.scrape_telemetry(registry)
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in render_prometheus(registry).splitlines()
+            if not line.startswith("#")
+        )
+
+        def count(name):
+            return int(float(samples[f"repro_serve_fleet_{name}"]))
+
+        for shard in (0, 1):
+            assert count(f"shard{shard}_queries") == words.shape[0]
+            assert count(f"shard{shard}_batches") >= 1
+        assert count("shard0_queries") + count("shard1_queries") == \
+            count("queries")
+        assert count("shard0_batches") + count("shard1_batches") == \
+            count("batches")
+        assert not any("shard2" in name for name in samples)
 
 
 class TestShardedCrashRecovery:
